@@ -2,8 +2,10 @@
 //!
 //! These productize the engine's own planning analyses: if
 //! [`StageKeyPlan`] finds no sound lookup key for a stage that matches
-//! events, the engine falls back to scanning every instance awaiting that
-//! stage on every candidate event; if [`RoutingPlan`] cannot derive a
+//! events — a stage is keyed when each of its guards re-binds a held
+//! variable or carries a top-level `same packet as` an earlier stage — the
+//! engine falls back to scanning every instance awaiting that stage on
+//! every candidate event; if [`RoutingPlan`] cannot derive a
 //! shard key, the multi-core runtime pins the whole property to a single
 //! worker. Both are correct and both deserve to be *reported* at authoring
 //! time rather than discovered in a profile.
@@ -28,13 +30,15 @@ pub fn check(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
                 code: Code::FullScanFallback,
                 severity: Severity::Perf,
                 locus: ctx.locus(s, Position::Stage),
-                message: "no guard of this stage re-binds a variable the awaiting instances \
-                          definitely hold, so matching falls back to scanning every awaiting \
-                          instance per event"
+                message: "some guard of this stage neither re-binds a variable the awaiting \
+                          instances definitely hold nor requires `same packet as` an earlier \
+                          stage, so matching falls back to scanning every awaiting instance \
+                          per event"
                     .into(),
                 suggestion: Some(
-                    "have every guard of the stage (advance and clearings) re-bind one \
-                     already-bound variable at a fixed field"
+                    "have every guard of the stage (advance and clearings) re-bind an \
+                     already-bound variable at a fixed field, or carry a top-level \
+                     `same packet as` an earlier packet stage"
                         .into(),
                 ),
             });

@@ -157,6 +157,41 @@ fn fx_full_scan() -> Property {
     )
 }
 
+/// Not SW007 — stage 1 matches only the departure of the spawning packet;
+/// `same packet as 0` keys it on packet identity, so no scan remains.
+fn fx_packet_keyed() -> Property {
+    prop(
+        "fx/sw007-packet-keyed",
+        vec![
+            spawn_stage(),
+            Stage::match_(
+                "departs",
+                EventPattern::Departure(ActionPattern::Forwarded),
+                Guard::new(vec![Atom::SamePacket(0), Atom::Bind(var("B"), Field::Ipv4Dst)]),
+            ),
+        ],
+    )
+}
+
+/// SW007 — the only `same packet as` sits inside `any_of`, where it need
+/// not hold, so it keys nothing and the stage scans.
+fn fx_packet_in_any_of() -> Property {
+    prop(
+        "fx/sw007-packet-in-any-of",
+        vec![
+            spawn_stage(),
+            Stage::match_(
+                "departs",
+                EventPattern::Departure(ActionPattern::Forwarded),
+                Guard::new(vec![Atom::AnyOf(vec![
+                    Atom::SamePacket(0),
+                    Atom::EqConst(Field::L4Dst, FieldValue::Uint(80)),
+                ])]),
+            ),
+        ],
+    )
+}
+
 /// SW008 — wandering identity (dhcp.yiaddr → arp.target_ip) has no field
 /// stable across guards, so the property pins to one shard.
 fn fx_pinned() -> Property {
@@ -256,6 +291,17 @@ fn sw006_inert_property_fires_once() {
 #[test]
 fn sw007_full_scan_fires_once() {
     assert_fires_once(&fx_full_scan(), Code::FullScanFallback, Severity::Perf);
+}
+
+#[test]
+fn sw007_spares_a_same_packet_stage() {
+    let diags = analyze(&fx_packet_keyed());
+    assert_eq!(count(&diags, Code::FullScanFallback), 0, "{diags:#?}");
+}
+
+#[test]
+fn sw007_fires_on_same_packet_inside_any_of() {
+    assert_fires_once(&fx_packet_in_any_of(), Code::FullScanFallback, Severity::Perf);
 }
 
 #[test]

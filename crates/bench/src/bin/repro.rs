@@ -11,7 +11,11 @@
 //! repro analyze --json          # proven facts + quantitative Table 2
 //! repro query 'degraded()'      # SWQL over a live catalog session
 //! repro query 'prop(*)' --follow --json
+//! repro --help                  # usage only
 //! ```
+//!
+//! An unknown selector or flag prints the usage line on stderr and exits
+//! 2 without running anything.
 //!
 //! Every subcommand supports `--json` (experiments without a native JSON
 //! emitter print the generic `{"experiment", "verified", "text"}`
@@ -24,27 +28,27 @@ use swmon_apps::output::Emitter;
 use swmon_bench::experiments::{
     e10, e11, e12, e13, e14, e15, e16, e17, e3, e4, e5, e6, e7, e8, e9, stats,
 };
-use swmon_bench::{analyze, lint, storequery};
+use swmon_bench::{analyze, cli, lint, storequery};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The SWQL source after `query` is positional, not a subcommand name.
-    let query_src = args
-        .iter()
-        .position(|a| a == "query")
-        .and_then(|i| args.get(i + 1))
-        .filter(|a| !a.starts_with("--"))
-        .cloned();
-    let selectors: Vec<&String> =
-        args.iter().filter(|a| !a.starts_with("--") && Some(*a) != query_src.as_ref()).collect();
-    let want = |k: &str| selectors.is_empty() || selectors.iter().any(|a| *a == k);
-
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = match cli::parse(&raw) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            eprintln!("{}", cli::USAGE);
+            std::process::exit(2);
+        }
+    };
+    if args.help {
+        println!("{}", cli::USAGE);
+        return;
+    }
+    let want = |k: &str| args.wants(k);
     // `--quick` scales the runtime experiments down for CI smoke runs;
     // verification still applies at every size.
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let follow = args.iter().any(|a| a == "--follow");
-    let mut em = Emitter::new(json);
+    let quick = args.quick;
+    let mut em = Emitter::new(args.json);
 
     println!("swmon — reproduction of \"Switches are Monitors Too!\" (HotNets 2016)");
 
@@ -202,13 +206,10 @@ fn main() {
         }
     }
 
-    if let Some(src) = &query_src {
+    if let Some(src) = &args.query {
         em.section(&format!("query — SWQL over a live catalog session: {src}"));
         let (qflows, qpackets) = if quick { (16, 1_200) } else { (48, 8_000) };
-        storequery::run(src, qflows, qpackets, follow, &mut em);
-    } else if args.iter().any(|a| a == "query") {
-        eprintln!("usage: repro query '<swql>' [--json] [--follow]");
-        em.fail();
+        storequery::run(src, qflows, qpackets, args.follow, &mut em);
     }
 
     std::process::exit(em.exit_code());

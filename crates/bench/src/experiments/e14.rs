@@ -6,7 +6,7 @@
 //!    arrays of interned variables, so bind/unify are O(1) copies with no
 //!    allocation (previously a `BTreeMap<String, _>` clone per guard).
 //! 2. **Stage-indexed matching** — per awaiting stage, instances are
-//!    indexed by their discriminating bound value
+//!    indexed by a held bound value or a recorded packet id
 //!    ([`swmon_core::StageKeyPlan`]), so an event visits only the
 //!    instances it can possibly clear or advance instead of every slot.
 //! 3. **Event pre-dispatch** — [`swmon_core::MonitorSet`] skips monitors

@@ -46,7 +46,7 @@
 //! quantifies.
 
 use crate::property::{Property, RefreshPolicy, Stage, StageKind, WindowSpec};
-use crate::routing::StageKeyPlan;
+use crate::routing::{KeySource, Probe, StageKeyPlan};
 use crate::var::Bindings;
 use crate::violation::{ProvenanceMode, Violation};
 use std::collections::HashMap;
@@ -194,17 +194,54 @@ pub(crate) enum KillReason {
 /// Secondary index over the instances awaiting one stage.
 ///
 /// Stages with a derived [`crate::routing::StageKey`] get a `Keyed` bucket:
-/// a map from the discriminating variable's bound value to the slot indices
-/// holding it, plus a `rest` overflow list (scanned unconditionally) for
-/// any instance whose key variable is — defensively — unbound. Stages the
-/// analysis cannot key get a plain `Scan` list. Either way the bucket holds
-/// exactly the live instances awaiting that stage.
+/// per key source (a held variable, or the packet id recorded at an earlier
+/// stage), a map from the instance's value of it to the slot indices
+/// holding that value. An instance is filed under every source, so each
+/// guard's probe finds it through its own source. A `rest` overflow list
+/// (scanned unconditionally) takes any instance lacking a source value —
+/// an unbound variable, or a `None` token. Stages the analysis cannot key
+/// get a plain `Scan` list. Either way the bucket holds exactly the live
+/// instances awaiting that stage.
 #[derive(Debug)]
 enum Bucket {
-    /// `map[value]` = slots whose key variable is bound to `value`.
-    Keyed { map: HashMap<FieldValue, Vec<usize>>, rest: Vec<usize> },
+    /// `maps[i] = (source, value → slots)`, in the stage key's source order.
+    Keyed { maps: Vec<(KeySource, HashMap<FieldValue, Vec<usize>>)>, rest: Vec<usize> },
     /// All awaiting slots, scanned for every relevant event.
     Scan(Vec<usize>),
+}
+
+/// One empty bucket per stage, shaped by the stage keys.
+fn empty_buckets(stage_keys: &StageKeyPlan) -> Vec<Bucket> {
+    (0..stage_keys.len())
+        .map(|s| match stage_keys.key(s) {
+            Some(k) => Bucket::Keyed {
+                maps: k.sources().into_iter().map(|src| (src, HashMap::new())).collect(),
+                rest: Vec::new(),
+            },
+            None => Bucket::Scan(Vec::new()),
+        })
+        .collect()
+}
+
+/// Packet ids share the index maps' value type.
+fn packet_key(id: PacketId) -> FieldValue {
+    FieldValue::Uint(id.0)
+}
+
+/// The instance's value of a key source, if it holds one.
+fn source_value(inst: &Instance, src: KeySource) -> Option<FieldValue> {
+    match src {
+        KeySource::Var(v) => inst.bindings.get(&v).copied(),
+        KeySource::Packet(k) => inst.stage_ids.get(k).copied().flatten().map(packet_key),
+    }
+}
+
+/// The value an event reproduces for a probe's source, if it carries one.
+fn probe_value(ev: &NetEvent, probe: Probe) -> Option<FieldValue> {
+    match probe {
+        Probe::Bind(_, f) => ev.field(f),
+        Probe::Packet(_) => ev.packet_id().map(packet_key),
+    }
 }
 
 /// The reference monitor for one property.
@@ -256,12 +293,7 @@ impl Monitor {
     pub fn new(property: Property, cfg: MonitorConfig) -> Self {
         property.validate().expect("property must be well-formed");
         let stage_keys = StageKeyPlan::of(&property);
-        let buckets = (0..property.stages.len())
-            .map(|s| match stage_keys.key(s) {
-                Some(_) => Bucket::Keyed { map: HashMap::new(), rest: Vec::new() },
-                None => Bucket::Scan(Vec::new()),
-            })
-            .collect();
+        let buckets = empty_buckets(&stage_keys);
         Monitor {
             property,
             cfg,
@@ -425,12 +457,14 @@ impl Monitor {
         // Phase 1+2: gather the instances this event could clear or
         // advance, then evaluate their guards against the *currently
         // visible* state. Stages whose patterns all miss the event are
-        // skipped outright; keyed stages look up only the instances whose
-        // discriminating binding matches the event's field value (plus the
-        // defensive `rest` list). Candidates are evaluated in ascending
-        // slot order — exactly the order the former full scan used — so
-        // the effect sequence, and with it every downstream ordering
-        // (violations, slot reuse, dedup outcomes), is unchanged.
+        // skipped outright; keyed stages look up, per guard the event's kind
+        // could satisfy, only the instances whose value of that guard's key
+        // source the event reproduces (plus the `rest` overflow list; an
+        // instance found through several sources is deduplicated below).
+        // Candidates are evaluated in ascending slot order — exactly the
+        // order the former full scan used — so the effect sequence, and
+        // with it every downstream ordering (violations, slot reuse, dedup
+        // outcomes), is unchanged.
         let mut effects = std::mem::take(&mut self.scratch_effects);
         let mut cands = std::mem::take(&mut self.scratch_candidates);
         debug_assert!(effects.is_empty() && cands.is_empty());
@@ -444,24 +478,25 @@ impl Monitor {
             }
             match &self.buckets[s] {
                 Bucket::Scan(v) => cands.extend_from_slice(v),
-                Bucket::Keyed { map, rest } => {
+                Bucket::Keyed { maps, rest } => {
                     cands.extend_from_slice(rest);
                     let key = self.stage_keys.key(s).expect("keyed bucket has a stage key");
-                    if adv_hit {
-                        let f = key.advance_field.expect("match stage key has an advance field");
-                        if let Some(val) = ev.field(f) {
-                            if let Some(v) = map.get(&val) {
-                                cands.extend_from_slice(v);
-                            }
+                    let mut probe = |p: Probe| {
+                        let Some(val) = probe_value(ev, p) else { return };
+                        let (_, map) = maps
+                            .iter()
+                            .find(|(src, _)| *src == p.source())
+                            .expect("every probe source has a map");
+                        if let Some(v) = map.get(&val) {
+                            cands.extend_from_slice(v);
                         }
+                    };
+                    if adv_hit {
+                        probe(key.advance.expect("match stage key has an advance probe"));
                     }
-                    for (u, &f) in stage.unless.iter().zip(&key.unless_fields) {
+                    for (u, &p) in stage.unless.iter().zip(&key.unless) {
                         if u.pattern.matches(ev) {
-                            if let Some(val) = ev.field(f) {
-                                if let Some(v) = map.get(&val) {
-                                    cands.extend_from_slice(v);
-                                }
-                            }
+                            probe(p);
                         }
                     }
                 }
@@ -657,28 +692,32 @@ impl Monitor {
         self.bucket_insert(idx);
     }
 
-    /// Add slot `idx` to the bucket of the stage it now awaits.
+    /// Add slot `idx` to the bucket of the stage it now awaits: under every
+    /// key source if it holds all of their values, else to `rest`.
     fn bucket_insert(&mut self, idx: usize) {
         let inst = self.slots[idx].as_ref().expect("live instance");
-        let awaiting = inst.awaiting;
-        let keyval = self.stage_keys.key(awaiting).and_then(|k| inst.bindings.get(&k.var)).copied();
-        match &mut self.buckets[awaiting] {
+        match &mut self.buckets[inst.awaiting] {
             Bucket::Scan(v) => v.push(idx),
-            Bucket::Keyed { map, rest } => match keyval {
-                Some(val) => map.entry(val).or_default().push(idx),
-                None => rest.push(idx),
-            },
+            Bucket::Keyed { maps, rest } => {
+                if maps.iter().all(|(src, _)| source_value(inst, *src).is_some()) {
+                    for (src, map) in maps.iter_mut() {
+                        let val = source_value(inst, *src).expect("checked above");
+                        map.entry(val).or_default().push(idx);
+                    }
+                } else {
+                    rest.push(idx);
+                }
+            }
         }
     }
 
     /// Remove slot `idx` from its awaiting stage's bucket. Callers must do
     /// this while the instance still holds the awaiting stage and the key
-    /// variable's value it was inserted under (binding *extension* is fine:
-    /// existing values never change, only new variables are added).
+    /// values it was inserted under (binding *extension* is fine: existing
+    /// values never change, only new variables are added; recorded packet
+    /// ids are only appended when the instance moves on).
     fn bucket_remove(&mut self, idx: usize) {
         let Some(inst) = self.slots.get(idx).and_then(Option::as_ref) else { return };
-        let awaiting = inst.awaiting;
-        let keyval = self.stage_keys.key(awaiting).and_then(|k| inst.bindings.get(&k.var)).copied();
         fn evict(v: &mut Vec<usize>, idx: usize) -> bool {
             match v.iter().position(|&i| i == idx) {
                 Some(pos) => {
@@ -688,20 +727,25 @@ impl Monitor {
                 None => false,
             }
         }
-        match &mut self.buckets[awaiting] {
+        match &mut self.buckets[inst.awaiting] {
             Bucket::Scan(v) => {
                 evict(v, idx);
             }
-            Bucket::Keyed { map, rest } => {
+            Bucket::Keyed { maps, rest } => {
                 let mut removed = false;
-                if let Some(val) = keyval {
-                    if let Some(v) = map.get_mut(&val) {
-                        removed = evict(v, idx);
-                        if v.is_empty() {
-                            map.remove(&val);
+                if maps.iter().all(|(src, _)| source_value(inst, *src).is_some()) {
+                    for (src, map) in maps.iter_mut() {
+                        let val = source_value(inst, *src).expect("checked above");
+                        if let Some(v) = map.get_mut(&val) {
+                            removed |= evict(v, idx);
+                            if v.is_empty() {
+                                map.remove(&val);
+                            }
                         }
                     }
                 }
+                // Not in the maps: it was filed in `rest` (a variable unbound
+                // at insertion may be bound by now).
                 if !removed {
                     evict(rest, idx);
                 }
@@ -958,12 +1002,7 @@ impl Monitor {
         // Rebuild the derived structures from the live slots.
         self.index.clear();
         self.cells = vec![None; capacity];
-        self.buckets = (0..self.property.stages.len())
-            .map(|s| match self.stage_keys.key(s) {
-                Some(_) => Bucket::Keyed { map: HashMap::new(), rest: Vec::new() },
-                None => Bucket::Scan(Vec::new()),
-            })
-            .collect();
+        self.buckets = empty_buckets(&self.stage_keys);
         for idx in 0..self.slots.len() {
             let Some(inst) = self.slots[idx].as_ref() else { continue };
             self.index.insert((inst.awaiting, inst.bindings), idx);
@@ -1512,5 +1551,209 @@ mod tests {
         }
         assert_eq!(m.live_instances(), 50);
         assert!(m.state_bytes() > 0);
+    }
+
+    // ---- index-free oracle ---------------------------------------------
+
+    /// The same monitor with every stage scanning: no stage key, so every
+    /// bucket is `Scan`. The stage index is an optimisation only, so this
+    /// must agree with [`Monitor::new`] on every trace.
+    fn unindexed(property: Property, cfg: MonitorConfig) -> Monitor {
+        let mut m = Monitor::new(property, cfg);
+        m.stage_keys = StageKeyPlan::unkeyed(m.property.stages.len());
+        m.buckets = empty_buckets(&m.stage_keys);
+        m
+    }
+
+    /// Instances currently filed under a packet-identity key.
+    fn packet_filed(m: &Monitor) -> usize {
+        m.buckets
+            .iter()
+            .map(|b| match b {
+                Bucket::Keyed { maps, .. } => maps
+                    .iter()
+                    .filter(|(src, _)| matches!(src, KeySource::Packet(_)))
+                    .map(|(_, map)| map.values().map(Vec::len).sum::<usize>())
+                    .sum(),
+                Bucket::Scan(_) => 0,
+            })
+            .sum()
+    }
+
+    /// Random switch traffic shaped to hit the NAT, load-balancer and
+    /// ARP-proxy guards: a few addresses and ports (the LB's VIP among
+    /// them), replies to earlier tuples, departures of any in-flight packet
+    /// (not just the latest) that keep or rewrite its headers, packet ids
+    /// reused across two switches, and out-of-band port events.
+    fn random_trace(seed: u64, len: usize) -> Vec<NetEvent> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use swmon_packet::ArpPacket;
+        type Tuple = (Ipv4Address, u16, Ipv4Address, u16);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let ip = |rng: &mut SmallRng| match rng.random_range(0..6u8) {
+            5 => Ipv4Address::new(10, 0, 0, 100),
+            x => Ipv4Address::new(10, 0, 0, x + 1),
+        };
+        let port = |rng: &mut SmallRng| [80u16, 1000, 1001, 61000][rng.random_range(0..4usize)];
+        let tcp_pkt = |(a, p, b, q): Tuple, flags: TcpFlags| {
+            Arc::new(PacketBuilder::tcp(
+                MacAddr::new(2, 0, 0, 0, 0, a.0[3]),
+                MacAddr::new(2, 0, 0, 0, 0, b.0[3]),
+                a,
+                b,
+                p,
+                q,
+                flags,
+                &[],
+            ))
+        };
+        let flag_pool = [
+            TcpFlags::SYN,
+            TcpFlags::SYN,
+            TcpFlags::ACK,
+            TcpFlags::FIN,
+            TcpFlags::FIN | TcpFlags::ACK,
+            TcpFlags::RST,
+        ];
+        let mut seen: Vec<Tuple> = Vec::new();
+        let fresh_tuple = |rng: &mut SmallRng, seen: &mut Vec<Tuple>| {
+            let t = match seen.len() {
+                n if n > 0 && rng.random_bool(0.3) => {
+                    let (a, p, b, q) = seen[rng.random_range(0..n)];
+                    (b, q, a, p) // a reply to an earlier packet
+                }
+                _ => (ip(rng), port(rng), ip(rng), port(rng)),
+            };
+            seen.push(t);
+            t
+        };
+        let mut inflight: Vec<(SwitchId, PacketId, Arc<Packet>)> = Vec::new();
+        let (mut ms, mut next_id) = (0u64, 0u64);
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            ms += rng.random_range(0..120u64);
+            let time = at(ms);
+            let roll = rng.random_range(0..100u32);
+            let kind = if roll < 45 || inflight.is_empty() {
+                let pkt = if rng.random_bool(0.2) {
+                    let req = ArpPacket::request(
+                        MacAddr::new(2, 0, 0, 0, 0, 1),
+                        ip(&mut rng),
+                        ip(&mut rng),
+                    );
+                    if rng.random_bool(0.5) {
+                        Arc::new(PacketBuilder::arp(req))
+                    } else {
+                        Arc::new(PacketBuilder::arp(ArpPacket::reply_to(
+                            &req,
+                            MacAddr::new(2, 0, 0, 0, 0, 9),
+                        )))
+                    }
+                } else {
+                    let t = fresh_tuple(&mut rng, &mut seen);
+                    tcp_pkt(t, flag_pool[rng.random_range(0..flag_pool.len())])
+                };
+                let id = if next_id > 0 && rng.random_bool(0.15) {
+                    PacketId(rng.random_range(0..next_id))
+                } else {
+                    next_id += 1;
+                    PacketId(next_id - 1)
+                };
+                let switch = SwitchId(rng.random_range(0..2u32));
+                inflight.push((switch, id, pkt.clone()));
+                NetEventKind::Arrival { switch, port: PortNo(rng.random_range(0..3u16)), pkt, id }
+            } else if roll < 95 {
+                let i = rng.random_range(0..inflight.len());
+                let (switch, id, orig) = inflight[i].clone();
+                let pkt = if rng.random_bool(0.5) {
+                    orig // forwarded unmodified
+                } else {
+                    let t = fresh_tuple(&mut rng, &mut seen); // rewritten (translated)
+                    tcp_pkt(t, TcpFlags::ACK)
+                };
+                let action = match rng.random_range(0..8u16) {
+                    0 => EgressAction::Drop,
+                    1 => EgressAction::Flood,
+                    p => EgressAction::Output(PortNo(if p < 4 { p - 2 } else { p + 4 })),
+                };
+                if rng.random_bool(0.7) {
+                    inflight.swap_remove(i);
+                }
+                NetEventKind::Departure { switch, pkt, id, action }
+            } else {
+                NetEventKind::OutOfBand(OobEvent::PortDown(
+                    SwitchId(rng.random_range(0..2u32)),
+                    PortNo(rng.random_range(0..3u16)),
+                ))
+            };
+            out.push(NetEvent { time, kind });
+        }
+        out
+    }
+
+    /// Everything observable about a monitor's output and state size.
+    fn observe(m: &Monitor) -> (String, usize, MonitorStats) {
+        (format!("{:?}", m.violations()), m.live_instances(), m.stats.clone())
+    }
+
+    #[test]
+    fn index_free_oracle_agrees_on_random_traces() {
+        let props = [
+            "nat/reverse-translation",
+            "lb/new-flow-hashed-port",
+            "lb/new-flow-round-robin",
+            "lb/stable-assignment",
+            "arp-proxy/unknown-forwarded",
+            "arp-proxy/known-not-forwarded",
+            "arp-proxy/reply-within-T",
+        ];
+        let full = MonitorConfig { provenance: ProvenanceMode::Full, ..MonitorConfig::default() };
+        let configs = [
+            full,
+            MonitorConfig {
+                mode: ProcessingMode::Split { lag: Duration::from_millis(40) },
+                ..full
+            },
+            MonitorConfig { capacity: Some(16), ..full },
+        ];
+        let mut packet_keyed_at_cut = 0usize;
+        for name in props {
+            let property = crate::test_property(name);
+            let mut violations = 0usize;
+            for (c, &cfg) in configs.iter().enumerate() {
+                for seed in 0..6u64 {
+                    let trace = random_trace(seed * 31 + c as u64, 500);
+                    let cut = 100 + (seed as usize * 53) % 300;
+                    let mut indexed = Monitor::new(property.clone(), cfg);
+                    let mut oracle = unindexed(property.clone(), cfg);
+                    for (i, ev) in trace.iter().enumerate() {
+                        if i == cut {
+                            // Checkpoint mid-trace and continue on a restored
+                            // monitor, whose buckets are rebuilt from slots.
+                            packet_keyed_at_cut += packet_filed(&indexed);
+                            let snap = indexed.snapshot();
+                            indexed = Monitor::new(property.clone(), cfg);
+                            indexed.restore(&snap).expect("restores");
+                        }
+                        indexed.process(ev);
+                        oracle.process(ev);
+                        assert_eq!(
+                            indexed.live_instances(),
+                            oracle.live_instances(),
+                            "{name} cfg {c} seed {seed} event {i}"
+                        );
+                    }
+                    let end = at(1_000_000);
+                    indexed.advance_to(end);
+                    oracle.advance_to(end);
+                    assert_eq!(observe(&indexed), observe(&oracle), "{name} cfg {c} seed {seed}");
+                    violations += oracle.violations().len();
+                }
+            }
+            // The traces must exercise what they claim to compare.
+            assert!(violations > 0, "{name} never fired");
+        }
+        assert!(packet_keyed_at_cut > 0, "no snapshot cut held packet-keyed instances");
     }
 }

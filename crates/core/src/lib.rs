@@ -41,6 +41,20 @@ pub mod var;
 pub mod violation;
 pub mod wire;
 
+/// The full property catalog, parsed from the checked-in DSL print in
+/// `testdata/catalog.swm` (`swmon-props` depends on this crate, so tests
+/// here cannot call it directly).
+#[cfg(test)]
+pub(crate) fn test_catalog() -> Vec<Property> {
+    dsl::parse_properties(include_str!("../testdata/catalog.swm")).expect("catalog fixture parses")
+}
+
+/// One catalog property by name.
+#[cfg(test)]
+pub(crate) fn test_property(name: &str) -> Property {
+    test_catalog().into_iter().find(|p| p.name == name).expect("property is in the catalog")
+}
+
 pub use builder::PropertyBuilder;
 pub use catalog::{CatalogEpoch, DeployAction, DeployError, DeployPlan, PropertyOrigin};
 pub use dsl::{
@@ -55,7 +69,9 @@ pub use monitorset::MonitorSet;
 pub use pattern::{event_class, ActionPattern, EventPattern, OobPattern, EVENT_CLASSES};
 pub use postcard::{Postcard, PostcardCollector};
 pub use property::{Property, PropertyError, RefreshPolicy, Stage, StageKind, Unless};
-pub use routing::{PinReason, Route, RouteMode, RoutingPlan, StageKey, StageKeyPlan};
+pub use routing::{
+    KeySource, PinReason, Probe, Route, RouteMode, RoutingPlan, StageKey, StageKeyPlan,
+};
 pub use snapshot::{MonitorSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use telemetry::{Recorder, SharedRecorder};
 pub use var::{var, Bindings, Var, VarId, VarTable, MAX_VARS};

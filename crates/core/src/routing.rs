@@ -31,7 +31,8 @@
 //! the event's field to the instance's value.
 
 use crate::features::mirror_field;
-use crate::guard::Guard;
+use crate::guard::{Atom, Guard};
+use crate::pattern::EventPattern;
 use crate::property::{Property, Stage, StageKind};
 use crate::var::Var;
 use std::collections::BTreeMap;
@@ -286,33 +287,92 @@ impl RoutingPlan {
     }
 }
 
-/// The discriminating bound variable for instances awaiting one stage, and
-/// where events matching that stage's guards carry its value.
+/// What an awaiting instance is filed under in a keyed stage index: a value
+/// the instance holds that any event able to affect it must reproduce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeySource {
+    /// The instance's binding of a held variable.
+    Var(Var),
+    /// The packet identity the instance recorded at observation stage `k`
+    /// (its `stage_ids[k]`, immutable once recorded).
+    Packet(usize),
+}
+
+/// How one guard of a stage finds, from an event, the key value of every
+/// awaiting instance the guard could succeed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// The guard top-level-binds the held variable at the field, so a
+    /// satisfying event carries the instance's value of it there.
+    Bind(Var, Field),
+    /// The guard carries a top-level `same packet as k`, so a satisfying
+    /// event's packet id is the one the instance recorded at stage `k`.
+    Packet(usize),
+}
+
+impl Probe {
+    /// The instance-side value this probe is compared against.
+    pub fn source(&self) -> KeySource {
+        match *self {
+            Probe::Bind(v, _) => KeySource::Var(v),
+            Probe::Packet(k) => KeySource::Packet(k),
+        }
+    }
+}
+
+/// Where events matching one stage's guards carry the key of the instances
+/// they can affect: one [`Probe`] per guard.
 ///
 /// Soundness contract (what lets the engine consult an index instead of
-/// scanning): `var` is *definitely bound* in every instance awaiting the
-/// stage (it is a top-level binder of some earlier match stage, and a guard
-/// only succeeds if all its top-level binds unify), and **every** guard an
-/// event could satisfy at this stage — the advance guard and each clearing
-/// guard — top-level-binds `var` against a known field. An event that can
-/// affect some instance therefore carries that instance's `var` value at
-/// one of those fields, so a `value → instances` lookup over the relevant
-/// fields finds every affected instance.
+/// scanning): **every** guard an event could satisfy at this stage — the
+/// advance guard and each clearing guard — has a probe, and a probe is only
+/// derived from a top-level atom, which must hold for the guard to succeed.
+///
+/// * A [`Probe::Bind`] variable is *definitely bound* in every instance
+///   awaiting the stage (a top-level binder of some earlier match stage, and
+///   a guard only succeeds if all its top-level binds unify), so a
+///   satisfying event carries the instance's value at the probe's field.
+/// * A [`Probe::Packet`] guard only succeeds when the event's packet id
+///   equals the instance's recorded `stage_ids[k]`; an instance that
+///   recorded no id there (a `None` token) cannot satisfy it at all.
+///
+/// An event that can affect some instance therefore reproduces one of that
+/// instance's key values through the probe of the guard it satisfies, so a
+/// `value → instances` lookup per [`KeySource`] finds every affected
+/// instance. The engine files an instance lacking any source value in an
+/// always-scanned overflow list, which keeps the lookup complete without
+/// relying on the analysis for definedness.
+///
+/// Stages where one held variable serves every guard keep that single
+/// source (the derivation tries it first); per-guard probes, which may read
+/// several sources, are the fallback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageKey {
-    /// The discriminating variable.
-    pub var: Var,
-    /// Field the stage's match guard binds `var` at (`None` for deadline
-    /// stages, which have no advance guard).
-    pub advance_field: Option<Field>,
-    /// Per clearing guard (in `unless` order), the field binding `var`.
-    pub unless_fields: Vec<Field>,
+    /// Probe for the stage's match guard (`None` for deadline stages, which
+    /// have no advance guard).
+    pub advance: Option<Probe>,
+    /// Per clearing guard, in `unless` order.
+    pub unless: Vec<Probe>,
+}
+
+impl StageKey {
+    /// The distinct sources the probes read, in first-use order (advance,
+    /// then clearings). A single-variable key has exactly one.
+    pub fn sources(&self) -> Vec<KeySource> {
+        let mut out = Vec::new();
+        for p in self.advance.iter().chain(&self.unless) {
+            if !out.contains(&p.source()) {
+                out.push(p.source());
+            }
+        }
+        out
+    }
 }
 
 /// Per-stage instance-index keys for one property: `key(s)` describes how
-/// to find instances awaiting stage `s` from an event's fields, or `None`
-/// when the stage defeats the analysis and the engine must fall back to a
-/// scan. Correctness never depends on a key existing.
+/// to find instances awaiting stage `s` from an event, or `None` when the
+/// stage defeats the analysis and the engine must fall back to a scan.
+/// Correctness never depends on a key existing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageKeyPlan {
     /// `keys[s]` for awaiting-stage `s`; `keys[0]` is always `None`
@@ -332,7 +392,7 @@ impl StageKeyPlan {
             bound.extend(g.binders().map(|(v, _)| *v));
         }
         for stage in property.stages.iter().skip(1) {
-            keys.push(Self::stage_key(stage, &bound));
+            keys.push(Self::stage_key(property, stage, &bound));
             if let StageKind::Match { guard, .. } = &stage.kind {
                 bound.extend(guard.binders().map(|(v, _)| *v));
             }
@@ -340,35 +400,74 @@ impl StageKeyPlan {
         StageKeyPlan { keys }
     }
 
-    fn stage_key(stage: &Stage, bound: &std::collections::BTreeSet<Var>) -> Option<StageKey> {
-        // Candidates in canonical (name) order, for determinism.
-        'candidate: for v in bound {
-            let advance_field = match &stage.kind {
-                StageKind::Match { guard, .. } => {
-                    match guard.binders().find(|(gv, _)| *gv == v) {
-                        Some((_, f)) => Some(f),
-                        None => continue 'candidate, // advances would need a scan
-                    }
-                }
+    /// A plan that keys no stage, so every stage scans: the index-free
+    /// oracle the engine's differential tests compare against.
+    #[cfg(test)]
+    pub(crate) fn unkeyed(stages: usize) -> StageKeyPlan {
+        StageKeyPlan { keys: vec![None; stages] }
+    }
+
+    fn stage_key(
+        property: &Property,
+        stage: &Stage,
+        bound: &std::collections::BTreeSet<Var>,
+    ) -> Option<StageKey> {
+        if matches!(stage.kind, StageKind::Deadline { .. }) && stage.unless.is_empty() {
+            // A deadline stage with no clearings: no event guard exists, so
+            // there is nothing to key on (and nothing to look up — pattern
+            // pre-checks already skip every event).
+            return None;
+        }
+        Self::shared_var_key(stage, bound).or_else(|| Self::per_guard_key(property, stage, bound))
+    }
+
+    /// One held variable that every guard of the stage re-binds at a field
+    /// (the smallest such variable in canonical name order).
+    fn shared_var_key(stage: &Stage, bound: &std::collections::BTreeSet<Var>) -> Option<StageKey> {
+        bound.iter().find_map(|v| {
+            let rebind =
+                |g: &Guard| g.binders().find(|(gv, _)| *gv == v).map(|(_, f)| Probe::Bind(*v, f));
+            let advance = match &stage.kind {
+                StageKind::Match { guard, .. } => Some(rebind(guard)?),
                 StageKind::Deadline { .. } => None,
             };
-            let mut unless_fields = Vec::with_capacity(stage.unless.len());
-            for u in &stage.unless {
-                match u.guard.binders().find(|(gv, _)| *gv == v) {
-                    Some((_, f)) => unless_fields.push(f),
-                    None => continue 'candidate,
-                }
-            }
-            if advance_field.is_none() && unless_fields.is_empty() {
-                // A deadline stage with no clearings: no event guard
-                // references any variable, so there is nothing to key on
-                // (and nothing to look up — pattern pre-checks already
-                // skip every event).
-                return None;
-            }
-            return Some(StageKey { var: *v, advance_field, unless_fields });
-        }
-        None
+            let unless = stage.unless.iter().map(|u| rebind(&u.guard)).collect::<Option<_>>()?;
+            Some(StageKey { advance, unless })
+        })
+    }
+
+    /// A probe per guard: the smallest held variable it top-level-binds,
+    /// else its first top-level `same packet as` a packet-observing stage.
+    /// Fails if any guard has neither.
+    fn per_guard_key(
+        property: &Property,
+        stage: &Stage,
+        bound: &std::collections::BTreeSet<Var>,
+    ) -> Option<StageKey> {
+        // Only a match stage observing packets records an id; deadline and
+        // out-of-band stages record `None`, so a probe on them would file
+        // every instance in the overflow list — a scan in disguise.
+        let records_id = |k: usize| match &property.stages[k].kind {
+            StageKind::Match { pattern, .. } => !matches!(pattern, EventPattern::OutOfBand(_)),
+            StageKind::Deadline { .. } => false,
+        };
+        let probe = |g: &Guard| {
+            bound
+                .iter()
+                .find_map(|v| g.binders().find(|(gv, _)| *gv == v).map(|(_, f)| Probe::Bind(*v, f)))
+                .or_else(|| {
+                    g.atoms.iter().find_map(|a| match a {
+                        Atom::SamePacket(k) if records_id(*k) => Some(Probe::Packet(*k)),
+                        _ => None,
+                    })
+                })
+        };
+        let advance = match &stage.kind {
+            StageKind::Match { guard, .. } => Some(probe(guard)?),
+            StageKind::Deadline { .. } => None,
+        };
+        let unless = stage.unless.iter().map(|u| probe(&u.guard)).collect::<Option<_>>()?;
+        Some(StageKey { advance, unless })
     }
 
     /// The key for instances awaiting stage `s`, if the stage is keyable.
@@ -390,7 +489,6 @@ impl StageKeyPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guard::Atom;
     use crate::pattern::{ActionPattern, EventPattern};
     use crate::property::{RefreshPolicy, Stage, Unless};
     use crate::var::var;
@@ -628,9 +726,9 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert!(plan.key(0).is_none(), "instances never await stage 0");
         let k = plan.key(1).expect("stage 1 is keyable");
-        assert_eq!(k.var, var("A"));
-        assert_eq!(k.advance_field, Some(Field::Ipv4Dst));
-        assert_eq!(k.unless_fields, vec![Field::Ipv4Src]);
+        assert_eq!(k.advance, Some(Probe::Bind(var("A"), Field::Ipv4Dst)));
+        assert_eq!(k.unless, vec![Probe::Bind(var("A"), Field::Ipv4Src)]);
+        assert_eq!(k.sources(), vec![KeySource::Var(var("A"))]);
         assert!(!plan.is_empty());
     }
 
@@ -661,8 +759,8 @@ mod tests {
         let p = prop(vec![bind_stage("a", &[("A", Field::Ipv4Src)]), d]);
         let plan = StageKeyPlan::of(&p);
         let k = plan.key(1).expect("deadline clearing is keyable");
-        assert_eq!(k.advance_field, None);
-        assert_eq!(k.unless_fields, vec![Field::Ipv4Dst]);
+        assert_eq!(k.advance, None);
+        assert_eq!(k.unless, vec![Probe::Bind(var("A"), Field::Ipv4Dst)]);
 
         // A bare deadline (no clearings) has no event guards at all: there
         // is nothing to key on, and nothing a key would be consulted for.
@@ -700,7 +798,151 @@ mod tests {
         ]);
         let plan = StageKeyPlan::of(&p);
         let k = plan.key(2).expect("stage 2 keys on B");
-        assert_eq!(k.var, var("B"));
-        assert_eq!(k.advance_field, Some(Field::DhcpXid));
+        assert_eq!(k.advance, Some(Probe::Bind(var("B"), Field::DhcpXid)));
+    }
+
+    fn catalog_key(name: &str, s: usize) -> Option<StageKey> {
+        StageKeyPlan::of(&crate::test_property(name)).key(s).cloned()
+    }
+
+    #[test]
+    fn nat_identity_stages_key_on_the_packet() {
+        // Stages 1 and 3 match only `same packet as` an earlier stage (their
+        // binds are fresh variables, or sit inside `any_of`).
+        let nat = "nat/reverse-translation";
+        let packet = |k| Some(StageKey { advance: Some(Probe::Packet(k)), unless: vec![] });
+        assert_eq!(catalog_key(nat, 1), packet(0));
+        assert_eq!(catalog_key(nat, 3), packet(2));
+        // Stage 2 keeps its variable key.
+        assert_eq!(
+            catalog_key(nat, 2).and_then(|k| k.advance),
+            Some(Probe::Bind(var("A2"), Field::Ipv4Dst))
+        );
+    }
+
+    #[test]
+    fn hashed_port_stage_probes_packet_and_clearing_var() {
+        let k = catalog_key("lb/new-flow-hashed-port", 1).expect("keyed");
+        assert_eq!(k.advance, Some(Probe::Packet(0)));
+        assert_eq!(
+            k.unless,
+            vec![Probe::Bind(var("A"), Field::Ipv4Src), Probe::Bind(var("A"), Field::Ipv4Dst)]
+        );
+        assert_eq!(k.sources(), vec![KeySource::Packet(0), KeySource::Var(var("A"))]);
+    }
+
+    #[test]
+    fn arp_deadline_stage_probes_packet_and_y() {
+        let k = catalog_key("arp-proxy/unknown-forwarded", 1).expect("keyed");
+        assert_eq!(k.advance, None);
+        assert_eq!(k.unless, vec![Probe::Packet(0), Probe::Bind(var("Y"), Field::ArpSenderIp)]);
+    }
+
+    #[test]
+    fn same_packet_inside_any_of_gives_no_key() {
+        // A disjunct need not hold, so its identity test does not pin the
+        // event's packet id to the instance's.
+        let p = prop(vec![
+            bind_stage("a", &[("A", Field::Ipv4Src)]),
+            Stage::match_(
+                "b",
+                EventPattern::Departure(ActionPattern::Forwarded),
+                Guard::new(vec![Atom::AnyOf(vec![
+                    Atom::SamePacket(0),
+                    Atom::EqConst(Field::L4Dst, 80u16.into()),
+                ])]),
+            ),
+        ]);
+        assert!(StageKeyPlan::of(&p).key(1).is_none());
+        // The same atom at top level is a key.
+        let q = prop(vec![
+            bind_stage("a", &[("A", Field::Ipv4Src)]),
+            Stage::match_(
+                "b",
+                EventPattern::Departure(ActionPattern::Forwarded),
+                Guard::new(vec![Atom::SamePacket(0)]),
+            ),
+        ]);
+        assert_eq!(StageKeyPlan::of(&q).key(1).and_then(|k| k.advance), Some(Probe::Packet(0)));
+    }
+
+    #[test]
+    fn same_packet_as_an_idless_stage_gives_no_key() {
+        // An out-of-band stage records no packet id, so nothing could be
+        // filed under it.
+        let p = prop(vec![
+            bind_stage("a", &[("A", Field::Ipv4Src)]),
+            Stage::match_(
+                "down",
+                EventPattern::OutOfBand(crate::pattern::OobPattern::PortDown),
+                Guard::any(),
+            ),
+            Stage::match_(
+                "c",
+                EventPattern::Departure(ActionPattern::Forwarded),
+                Guard::new(vec![Atom::SamePacket(1)]),
+            ),
+        ]);
+        assert!(StageKeyPlan::of(&p).key(2).is_none());
+    }
+
+    #[test]
+    fn previously_keyed_catalog_stages_derive_identical_keys() {
+        // Every catalog stage the single-variable search keyed before
+        // packet probes existed: (property, stage, var, advance field,
+        // clearing fields). They must keep exactly this key.
+        use Field::*;
+        type Row = (&'static str, usize, &'static str, Option<Field>, &'static [Field]);
+        #[rustfmt::skip]
+        let before: [Row; 25] = [
+            ("arp-proxy/known-not-forwarded", 1, "Y", Some(ArpTargetIp), &[]),
+            ("port-knock/wrong-guess-invalidates", 1, "S", Some(Ipv4Src), &[]),
+            ("port-knock/wrong-guess-invalidates", 2, "S", Some(Ipv4Src), &[]),
+            ("port-knock/wrong-guess-invalidates", 3, "S", Some(Ipv4Src), &[]),
+            ("port-knock/valid-sequence-opens", 1, "S", Some(Ipv4Src), &[Ipv4Src]),
+            ("port-knock/valid-sequence-opens", 2, "S", Some(Ipv4Src), &[]),
+            ("lb/stable-assignment", 2, "A", Some(Ipv4Dst), &[]),
+            ("ftp/data-port-matches-control", 1, "A", Some(Ipv4Dst), &[]),
+            ("dhcp/reply-within-T", 1, "H", None, &[EthDst]),
+            ("dhcp/no-reuse-before-expiry", 1, "C", Some(DhcpChaddr), &[]),
+            ("dhcp/no-reuse-before-expiry", 2, "Y", Some(DhcpYiaddr), &[DhcpCiaddr]),
+            ("dhcp/no-lease-overlap", 1, "H", Some(EthDst), &[]),
+            ("dhcp/no-lease-overlap", 2, "Y", Some(DhcpYiaddr), &[]),
+            ("dhcp-arp/preload-cache", 1, "Y", Some(ArpTargetIp), &[]),
+            ("dhcp-arp/preload-cache", 2, "M", None, &[ArpSenderMac]),
+            ("dhcp-arp/no-unfounded-direct-reply", 1, "Y", Some(ArpSenderIp), &[DhcpYiaddr, ArpSenderIp]),
+            ("firewall/return-not-dropped", 1, "A", Some(Ipv4Dst), &[]),
+            ("firewall/return-not-dropped-within-T", 1, "A", Some(Ipv4Dst), &[]),
+            ("firewall/return-until-close", 1, "A", Some(Ipv4Dst), &[Ipv4Src, Ipv4Dst]),
+            ("nat/reverse-translation", 2, "A2", Some(Ipv4Dst), &[]),
+            ("learning-switch/no-flood-after-learn", 1, "D", Some(EthDst), &[]),
+            ("learning-switch/correct-port", 1, "D", Some(EthDst), &[]),
+            ("learning-switch/flush-on-link-down", 2, "D", Some(EthDst), &[EthSrc]),
+            ("arp-proxy/reply-within-T", 1, "Y", Some(ArpTargetIp), &[]),
+            ("arp-proxy/reply-within-T", 2, "Y", None, &[ArpSenderIp]),
+        ];
+        for (name, s, v, advance, unless) in before {
+            let v = var(v);
+            let want = StageKey {
+                advance: advance.map(|f| Probe::Bind(v, f)),
+                unless: unless.iter().map(|&f| Probe::Bind(v, f)).collect(),
+            };
+            assert_eq!(catalog_key(name, s), Some(want), "{name} stage {s}");
+        }
+        // And every catalog stage that is keyed now but not listed above
+        // reads at least one packet identity.
+        for p in crate::test_catalog() {
+            let plan = StageKeyPlan::of(&p);
+            for s in 0..plan.len() {
+                let Some(k) = plan.key(s) else { continue };
+                if !before.iter().any(|(n, bs, ..)| *n == p.name && *bs == s) {
+                    assert!(
+                        k.sources().iter().any(|src| matches!(src, KeySource::Packet(_))),
+                        "{} stage {s} newly keyed without a packet probe: {k:?}",
+                        p.name
+                    );
+                }
+            }
+        }
     }
 }

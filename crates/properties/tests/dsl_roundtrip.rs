@@ -61,3 +61,16 @@ fn printed_form_mentions_the_features_it_uses() {
     let oob = to_dsl(&swmon_props::learning_switch::flush_on_link_down());
     assert!(oob.contains("oob(portdown)"), "{oob}");
 }
+
+#[test]
+fn core_catalog_fixture_matches_the_catalog() {
+    // swmon-core's tests run the catalog from this DSL print; keep it in
+    // step with the Rust definitions.
+    let fixture = include_str!("../../core/testdata/catalog.swm");
+    let parsed = swmon_core::parse_properties(fixture).expect("fixture parses");
+    assert_eq!(
+        parsed,
+        swmon_props::catalog(),
+        "reprint crates/core/testdata/catalog.swm with to_dsl over swmon_props::catalog()"
+    );
+}

@@ -29,21 +29,12 @@ const EXPECTED_PINNED: [&str; 14] = [
 ];
 
 /// (property, stage) pairs whose matching falls back to a full instance
-/// scan (SW007). Intentional: these stages await events identified by
-/// computed values (hashed/round-robin ports), out-of-band events, or
-/// translated headers, none of which re-bind a held variable at a fixed
-/// field.
-const EXPECTED_FULL_SCAN: [(&str, usize); 9] = [
-    ("arp-proxy/unknown-forwarded", 1),
-    ("lb/new-flow-hashed-port", 1),
-    ("lb/new-flow-round-robin", 1),
-    ("lb/new-flow-round-robin", 2),
-    ("lb/new-flow-round-robin", 3),
-    ("lb/stable-assignment", 1),
-    ("learning-switch/flush-on-link-down", 1),
-    ("nat/reverse-translation", 1),
-    ("nat/reverse-translation", 3),
-];
+/// scan (SW007). Both intentional: the round-robin balancer's stage 2 is a
+/// bare SYN that advances every awaiting instance by design, and the flush
+/// property's stage 1 awaits an out-of-band port-down, which carries no
+/// header field or packet identity to key on.
+const EXPECTED_FULL_SCAN: [(&str, usize); 2] =
+    [("lb/new-flow-round-robin", 2), ("learning-switch/flush-on-link-down", 1)];
 
 #[test]
 fn catalog_has_no_gating_diagnostics() {
