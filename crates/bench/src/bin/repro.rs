@@ -11,6 +11,8 @@
 //! repro analyze --json          # proven facts + quantitative Table 2
 //! repro query 'degraded()'      # SWQL over a live catalog session
 //! repro query 'prop(*)' --follow --json
+//! repro bench-check             # every BENCH_*.json parses and verifies
+//! repro bench-check out.json    # ...or just the files named
 //! repro --help                  # usage only
 //! ```
 //!
@@ -28,7 +30,7 @@ use swmon_apps::output::Emitter;
 use swmon_bench::experiments::{
     e10, e11, e12, e13, e14, e15, e16, e17, e3, e4, e5, e6, e7, e8, e9, stats,
 };
-use swmon_bench::{analyze, cli, lint, storequery};
+use swmon_bench::{analyze, benchcheck, cli, lint, storequery};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -210,6 +212,12 @@ fn main() {
         em.section(&format!("query — SWQL over a live catalog session: {src}"));
         let (qflows, qpackets) = if quick { (16, 1_200) } else { (48, 8_000) };
         storequery::run(src, qflows, qpackets, args.follow, &mut em);
+    }
+
+    if let Some(files) = &args.bench_check {
+        em.section("bench-check — BENCH artifacts parse as JSON and verify");
+        let (report, ok) = benchcheck::run(files);
+        em.wrap("bench-check", ok, &report);
     }
 
     std::process::exit(em.exit_code());

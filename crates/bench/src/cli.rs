@@ -11,7 +11,8 @@ pub const SELECTORS: [&str; 22] = [
 
 /// One-line usage, printed on `--help` and after every parse error.
 pub const USAGE: &str = "usage: repro [table1|table2|e1..e17|stats|lint|analyze]... \
-                         [query '<swql>'] [--json] [--quick] [--follow] [--help]";
+                         [query '<swql>'] [bench-check [FILE.json]...] [--json] [--quick] \
+                         [--follow] [--help]";
 
 /// A parsed `repro` command line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -20,6 +21,9 @@ pub struct Args {
     pub selectors: Vec<String>,
     /// The SWQL source given after `query`.
     pub query: Option<String>,
+    /// `bench-check` and the `.json` files named after it (none: every
+    /// `BENCH_*.json` in the working directory).
+    pub bench_check: Option<Vec<String>>,
     /// `--json`: also print machine-readable results.
     pub json: bool,
     /// `--quick`: CI-sized event counts.
@@ -31,9 +35,12 @@ pub struct Args {
 }
 
 impl Args {
-    /// True if experiment or subcommand `k` should run.
+    /// True if experiment or subcommand `k` should run. `query` and
+    /// `bench-check` run only when named, and naming only them runs
+    /// nothing else.
     pub fn wants(&self, k: &str) -> bool {
-        (self.selectors.is_empty() && self.query.is_none()) || self.selectors.iter().any(|s| s == k)
+        (self.selectors.is_empty() && self.query.is_none() && self.bench_check.is_none())
+            || self.selectors.iter().any(|s| s == k)
     }
 }
 
@@ -53,6 +60,12 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Args, String> {
                 Some(src) => out.query = Some(src.to_string()),
                 None => return Err("query needs a SWQL source".into()),
             },
+            "bench-check" => {
+                let files = out.bench_check.get_or_insert_with(Vec::new);
+                while let Some(f) = it.next_if(|s| s.ends_with(".json")) {
+                    files.push(f.to_string());
+                }
+            }
             _ if a.starts_with('-') => return Err(format!("unknown flag {a:?}")),
             _ if SELECTORS.contains(&a) => out.selectors.push(a.to_string()),
             _ => return Err(format!("unknown selector {a:?}")),
@@ -85,6 +98,17 @@ mod tests {
         assert_eq!(a.query.as_deref(), Some("prop(*)"));
         assert!(a.follow && !a.wants("e3"), "a lone query runs only the query");
         assert_eq!(parse(&["query", "--json"]), Err("query needs a SWQL source".into()));
+    }
+
+    #[test]
+    fn bench_check_takes_json_files_and_runs_nothing_else() {
+        let a = parse(&["bench-check"]).unwrap();
+        assert_eq!(a.bench_check, Some(vec![]));
+        assert!(!a.wants("e3"));
+        let a = parse(&["bench-check", "a.json", "BENCH_b.json", "e3"]).unwrap();
+        assert_eq!(a.bench_check, Some(vec!["a.json".to_string(), "BENCH_b.json".to_string()]));
+        assert!(a.wants("e3") && !a.wants("e4"));
+        assert_eq!(parse(&["bench-check", "a.jsn"]), Err("unknown selector \"a.jsn\"".into()));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! | E16 | violation store: ingest, SWQL latency, live fidelity | [`experiments::e16`] |
 
 pub mod analyze;
+pub mod benchcheck;
 pub mod cli;
 pub mod experiments;
 pub mod lint;

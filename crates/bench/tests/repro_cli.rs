@@ -52,3 +52,44 @@ fn every_ci_invocation_parses() {
     }
     assert!(seen >= 5, "found only {seen} repro invocations in ci.yml");
 }
+
+#[test]
+fn checked_in_bench_artifacts_parse_and_verify() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("bench-check")
+        .current_dir(root)
+        .output()
+        .expect("repro runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let checked = stdout.lines().filter(|l| l.starts_with("ok ")).count();
+    assert!(checked >= 5, "only {checked} BENCH files checked:\n{stdout}");
+}
+
+#[test]
+fn bench_check_fails_on_malformed_or_unverified_files() {
+    let dir = std::env::temp_dir().join(format!("repro-bench-check-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let write = |name: &str, body: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, body).expect("write fixture");
+        path.to_string_lossy().into_owned()
+    };
+    let good = write("good.json", r#"{"rows": [{"verified": true}], "verified": true}"#);
+    let preamble = write("preamble.json", "E16 table\n{\"verified\": true}\n");
+    let unverified = write("unverified.json", r#"{"rows": [{"verified": false}]}"#);
+    let run = |files: &[&str]| {
+        let out = repro(&[&["bench-check"], files].concat());
+        (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    assert_eq!(run(&[&good]).0, Some(0));
+    for bad in [&preamble, &unverified] {
+        let (code, stdout) = run(&[&good, bad]);
+        assert_eq!(code, Some(1), "{stdout}");
+        assert!(stdout.contains(&format!("FAIL {bad}")), "{stdout}");
+    }
+    let (code, stdout) = run(&[&dir.join("missing.json").to_string_lossy()]);
+    assert_eq!(code, Some(1), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -47,6 +47,7 @@
 
 use crate::property::{Property, RefreshPolicy, Stage, StageKind, WindowSpec};
 use crate::routing::{KeySource, Probe, StageKeyPlan};
+use crate::slots::Slots;
 use crate::var::Bindings;
 use crate::violation::{ProvenanceMode, Violation};
 use std::collections::HashMap;
@@ -147,12 +148,64 @@ pub(crate) struct Instance {
     pub(crate) bindings: Bindings,
     /// Identity token observed at each completed stage (None for deadline
     /// stages and OOB events).
-    pub(crate) stage_ids: Vec<Option<PacketId>>,
+    pub(crate) stage_ids: StageIds,
     /// Advancing events, kept only in `Full` provenance mode.
     pub(crate) history: Vec<NetEvent>,
     pub(crate) timer: Option<TimerId>,
     /// The hash cell this instance occupies in a capacity-bounded store.
     pub(crate) cell: Option<usize>,
+}
+
+/// Stages whose packet ids an instance holds without a heap allocation —
+/// every catalog property fits.
+const INLINE_STAGES: usize = 4;
+
+/// The packet ids an instance recorded at its completed stages, in stage
+/// order. Inline up to [`INLINE_STAGES`] entries, so a spawn allocates
+/// nothing for them and copying an instance (as a copy-on-write slot chunk
+/// does after a checkpoint) is a plain memory copy.
+#[derive(Debug, Clone)]
+pub(crate) enum StageIds {
+    Inline { len: u8, ids: [Option<PacketId>; INLINE_STAGES] },
+    Heap(Vec<Option<PacketId>>),
+}
+
+impl StageIds {
+    pub(crate) fn push(&mut self, id: Option<PacketId>) {
+        match self {
+            StageIds::Inline { len, ids } if usize::from(*len) < INLINE_STAGES => {
+                ids[usize::from(*len)] = id;
+                *len += 1;
+            }
+            StageIds::Inline { ids, .. } => {
+                let mut spilled = ids.to_vec();
+                spilled.push(id);
+                *self = StageIds::Heap(spilled);
+            }
+            StageIds::Heap(v) => v.push(id),
+        }
+    }
+}
+
+impl std::ops::Deref for StageIds {
+    type Target = [Option<PacketId>];
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            StageIds::Inline { len, ids } => &ids[..usize::from(*len)],
+            StageIds::Heap(v) => v,
+        }
+    }
+}
+
+impl FromIterator<Option<PacketId>> for StageIds {
+    fn from_iter<I: IntoIterator<Item = Option<PacketId>>>(iter: I) -> Self {
+        let mut out = StageIds::Inline { len: 0, ids: [None; INLINE_STAGES] };
+        for id in iter {
+            out.push(id);
+        }
+        out
+    }
 }
 
 type InstanceKey = (usize, Bindings);
@@ -248,7 +301,8 @@ fn probe_value(ev: &NetEvent, probe: Probe) -> Option<FieldValue> {
 pub struct Monitor {
     property: Property,
     cfg: MonitorConfig,
-    slots: Vec<Option<Instance>>,
+    /// Instance slots, copy-on-write so a snapshot shares them.
+    slots: Slots,
     free: Vec<usize>,
     index: HashMap<InstanceKey, usize>,
     timers: TimerWheel<(usize, TimerKind)>,
@@ -297,7 +351,7 @@ impl Monitor {
         Monitor {
             property,
             cfg,
-            slots: Vec::new(),
+            slots: Slots::default(),
             free: Vec::new(),
             index: HashMap::new(),
             timers: TimerWheel::new(),
@@ -332,9 +386,16 @@ impl Monitor {
         &self.property
     }
 
-    /// Violations detected so far, in detection order.
+    /// Violations detected so far and not yet taken, in detection order.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
+    }
+
+    /// Move the violations detected since the last call out of the
+    /// monitor, in detection order. A host that harvests this way keeps
+    /// the only copy, so later snapshots no longer carry them.
+    pub fn take_violations(&mut self) -> Vec<Violation> {
+        std::mem::take(&mut self.violations)
     }
 
     /// Number of live instances (the paper's scalability metric: Varanus
@@ -346,9 +407,8 @@ impl Monitor {
     /// Approximate bytes of monitor state (bindings + retained provenance).
     pub fn state_bytes(&self) -> usize {
         self.slots
-            .iter()
-            .flatten()
-            .map(|i| {
+            .live()
+            .map(|(_, i)| {
                 i.bindings.approx_bytes()
                     + i.history
                         .iter()
@@ -403,13 +463,10 @@ impl Monitor {
         if deadline > self.now {
             self.now = deadline;
         }
-        let Some(inst) = self.slots.get_mut(idx).and_then(Option::as_mut) else {
-            return;
-        };
-        if inst.timer != Some(fired) {
+        if self.slots.get(idx).map(|inst| inst.timer) != Some(Some(fired)) {
             return; // stale timer from an earlier stage of this slot
         }
-        inst.timer = None;
+        self.slots.get_mut(idx).expect("checked live").timer = None;
         match kind {
             TimerKind::WindowExpiry => {
                 self.stats.window_expired += 1;
@@ -505,7 +562,7 @@ impl Monitor {
         cands.sort_unstable();
         cands.dedup();
         for &idx in &cands {
-            let Some(inst) = self.slots[idx].as_ref() else { continue };
+            let Some(inst) = self.slots.get(idx) else { continue };
             let stage = &self.property.stages[inst.awaiting];
             // Clearings first.
             let cleared = stage.unless.iter().any(|u| {
@@ -596,13 +653,12 @@ impl Monitor {
                 let valid = self
                     .slots
                     .get(idx)
-                    .and_then(Option::as_ref)
                     .is_some_and(|i| i.uid == uid && i.awaiting == expected_stage);
                 if !valid {
                     self.stats.stale_effects_dropped += 1;
                     return;
                 }
-                if let Some(inst) = self.slots[idx].as_mut() {
+                if let Some(inst) = self.slots.get_mut(idx) {
                     // Unindex under the *original* bindings before the
                     // advance extends them — computing the old key after
                     // assignment would leave a stale index entry that
@@ -622,7 +678,6 @@ impl Monitor {
                 let valid = self
                     .slots
                     .get(idx)
-                    .and_then(Option::as_ref)
                     .is_some_and(|i| i.uid == uid && i.awaiting == expected_stage);
                 if !valid {
                     self.stats.stale_effects_dropped += 1;
@@ -668,22 +723,22 @@ impl Monitor {
         }
         let idx = match self.free.pop() {
             Some(i) => i,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
+            None => self.slots.grow(),
         };
         let uid = self.next_uid;
         self.next_uid += 1;
-        self.slots[idx] = Some(Instance {
-            uid,
-            awaiting: 1,
-            bindings,
-            stage_ids: vec![stage_id],
-            history,
-            timer: None,
-            cell,
-        });
+        self.slots.put(
+            idx,
+            Instance {
+                uid,
+                awaiting: 1,
+                bindings,
+                stage_ids: std::iter::once(stage_id).collect(),
+                history,
+                timer: None,
+                cell,
+            },
+        );
         if let Some(c) = cell {
             self.cells[c] = Some(idx);
         }
@@ -695,7 +750,7 @@ impl Monitor {
     /// Add slot `idx` to the bucket of the stage it now awaits: under every
     /// key source if it holds all of their values, else to `rest`.
     fn bucket_insert(&mut self, idx: usize) {
-        let inst = self.slots[idx].as_ref().expect("live instance");
+        let inst = self.slots.get(idx).expect("live instance");
         match &mut self.buckets[inst.awaiting] {
             Bucket::Scan(v) => v.push(idx),
             Bucket::Keyed { maps, rest } => {
@@ -717,7 +772,7 @@ impl Monitor {
     /// values never change, only new variables are added; recorded packet
     /// ids are only appended when the instance moves on).
     fn bucket_remove(&mut self, idx: usize) {
-        let Some(inst) = self.slots.get(idx).and_then(Option::as_ref) else { return };
+        let Some(inst) = self.slots.get(idx) else { return };
         fn evict(v: &mut Vec<usize>, idx: usize) -> bool {
             match v.iter().position(|&i| i == idx) {
                 Some(pos) => {
@@ -778,7 +833,7 @@ impl Monitor {
     /// Handle a duplicate spawn/advance landing on `incumbent`.
     fn dedup_against(&mut self, incumbent: usize, at: Instant) {
         self.stats.deduplicated += 1;
-        let Some(inst) = self.slots.get(incumbent).and_then(Option::as_ref) else {
+        let Some(inst) = self.slots.get(incumbent) else {
             return;
         };
         let stage = &self.property.stages[inst.awaiting];
@@ -805,7 +860,7 @@ impl Monitor {
     /// [`Monitor::advance_instance_unindexed`].
     fn advance_instance(&mut self, idx: usize, stage_id: Option<PacketId>, at: Instant) {
         let old_key = {
-            let inst = self.slots[idx].as_ref().expect("live instance");
+            let inst = self.slots.get(idx).expect("live instance");
             (inst.awaiting, inst.bindings)
         };
         self.index.remove(&old_key);
@@ -820,7 +875,7 @@ impl Monitor {
         // value is immutable once bound, so the bucket lookup still lands.
         self.bucket_remove(idx);
         let done = {
-            let inst = self.slots[idx].as_mut().expect("live instance");
+            let inst = self.slots.get_mut(idx).expect("live instance");
             if let Some(t) = inst.timer.take() {
                 self.timers.cancel(t);
             }
@@ -830,7 +885,7 @@ impl Monitor {
             inst.awaiting == self.property.stages.len()
         };
         if done {
-            let inst = self.slots[idx].take().expect("live instance");
+            let inst = self.slots.take(idx).expect("live instance");
             if let Some(c) = inst.cell {
                 if self.cells[c] == Some(idx) {
                     self.cells[c] = None;
@@ -842,12 +897,12 @@ impl Monitor {
             return;
         }
         // Dedup at the new position.
-        let inst = self.slots[idx].as_ref().expect("live instance");
+        let inst = self.slots.get(idx).expect("live instance");
         let new_key = (inst.awaiting, inst.bindings);
         if let Some(&incumbent) = self.index.get(&new_key) {
             // The incumbent wins; this instance dissolves into it.
             self.dedup_against(incumbent, at);
-            if let Some(inst) = self.slots[idx].take() {
+            if let Some(inst) = self.slots.take(idx) {
                 if let Some(c) = inst.cell {
                     if self.cells[c] == Some(idx) {
                         self.cells[c] = None;
@@ -868,7 +923,7 @@ impl Monitor {
     /// Arm the timer appropriate to the stage instance `idx` now awaits,
     /// measured from observation time `at`.
     fn arm_stage_timer(&mut self, idx: usize, at: Instant) {
-        let inst = self.slots[idx].as_ref().expect("live");
+        let inst = self.slots.get(idx).expect("live");
         let awaiting = inst.awaiting;
         let stage: &Stage = &self.property.stages[awaiting];
         let timer = match &stage.kind {
@@ -881,12 +936,12 @@ impl Monitor {
                 .and_then(|w: &WindowSpec| w.resolve(&inst.bindings))
                 .map(|w| self.timers.schedule(at + w, (idx, TimerKind::WindowExpiry))),
         };
-        self.slots[idx].as_mut().expect("live").timer = timer;
+        self.slots.get_mut(idx).expect("live").timer = timer;
     }
 
     fn remove_instance(&mut self, idx: usize) {
         self.bucket_remove(idx);
-        if let Some(inst) = self.slots[idx].take() {
+        if let Some(inst) = self.slots.take(idx) {
             if let Some(t) = inst.timer {
                 self.timers.cancel(t);
             }
@@ -929,18 +984,24 @@ impl Monitor {
     /// array (slot indices are tie-breakers for effect ordering), the
     /// free-list (it decides which slot the next spawn reuses), the timer
     /// wheel's exact heap entries and counters, pending split-mode effects,
-    /// the uid counter, and the violations already raised. Derived
-    /// structures — the dedup index, stage buckets and capacity cells —
-    /// are *not* serialized: they are pure functions of the live slots and
-    /// are rebuilt on restore (candidate slots are sorted and deduplicated
-    /// before evaluation, so bucket-internal order is not semantics-bearing).
+    /// the uid counter, and the violations not yet taken
+    /// ([`Monitor::take_violations`]). Derived structures — the dedup
+    /// index, stage buckets and capacity cells — are *not* captured: they
+    /// are pure functions of the live slots and are rebuilt on restore
+    /// (candidate slots are sorted and deduplicated before evaluation, so
+    /// bucket-internal order is not semantics-bearing).
+    ///
+    /// The cost is O(slots / chunk size) plus the timer wheel and the
+    /// untaken violations: the slot chunks are shared copy-on-write with
+    /// the live monitor, so the monitor's next write to a chunk copies that
+    /// chunk only (see [`crate::slots`]).
     pub fn snapshot(&self) -> crate::snapshot::MonitorSnapshot {
         crate::snapshot::MonitorSnapshot {
             property: self.property.name.clone(),
             stages: self.property.stages.len(),
             slots: self.slots.clone(),
             free: self.free.clone(),
-            timers: self.timers.snapshot(),
+            timers: self.timers.clone(),
             pending: self.pending.clone(),
             violations: self.violations.clone(),
             now: self.now,
@@ -972,7 +1033,7 @@ impl Monitor {
         }
         // Validate before mutating, so a bad snapshot cannot half-apply.
         let capacity = self.cfg.capacity.unwrap_or(0);
-        for inst in snap.slots.iter().flatten() {
+        for (_, inst) in snap.slots.live() {
             if inst.awaiting == 0 || inst.awaiting >= self.property.stages.len() {
                 return Err(SnapshotError::Malformed("instance awaits an out-of-range stage"));
             }
@@ -983,14 +1044,14 @@ impl Monitor {
             }
         }
         for &f in &snap.free {
-            if f >= snap.slots.len() || snap.slots[f].is_some() {
+            if f >= snap.slots.len() || snap.slots.get(f).is_some() {
                 return Err(SnapshotError::Malformed("free-list entry is not an empty slot"));
             }
         }
 
         self.slots = snap.slots.clone();
         self.free = snap.free.clone();
-        self.timers = TimerWheel::restore(&snap.timers);
+        self.timers = snap.timers.clone();
         self.pending = snap.pending.clone();
         self.violations = snap.violations.clone();
         self.now = snap.now;
@@ -1004,7 +1065,7 @@ impl Monitor {
         self.cells = vec![None; capacity];
         self.buckets = empty_buckets(&self.stage_keys);
         for idx in 0..self.slots.len() {
-            let Some(inst) = self.slots[idx].as_ref() else { continue };
+            let Some(inst) = self.slots.get(idx) else { continue };
             self.index.insert((inst.awaiting, inst.bindings), idx);
             if let Some(c) = inst.cell {
                 self.cells[c] = Some(idx);
@@ -1027,6 +1088,7 @@ mod tests {
     use crate::guard::{Atom, Guard};
     use crate::pattern::{ActionPattern, EventPattern, OobPattern};
     use crate::property::{Stage, Unless};
+    use crate::testgen::random_trace;
     use crate::var::var;
     use std::sync::Arc;
     use swmon_packet::{Field, Ipv4Address, MacAddr, Packet, PacketBuilder, TcpFlags};
@@ -1160,6 +1222,19 @@ mod tests {
     }
 
     // ---- tests -----------------------------------------------------------
+
+    #[test]
+    fn stage_ids_spill_to_the_heap_past_the_inline_capacity() {
+        let want: Vec<Option<PacketId>> =
+            (0..INLINE_STAGES as u64 + 2).map(|i| (i % 3 != 1).then_some(PacketId(i))).collect();
+        let mut ids: StageIds = std::iter::empty().collect();
+        for (n, &id) in want.iter().enumerate() {
+            ids.push(id);
+            assert_eq!(&ids[..], &want[..=n]);
+            assert_eq!(matches!(ids, StageIds::Heap(_)), n >= INLINE_STAGES);
+        }
+        assert_eq!(&ids.clone()[..], &want[..]);
+    }
 
     #[test]
     fn detects_basic_firewall_violation() {
@@ -1578,118 +1653,6 @@ mod tests {
                 Bucket::Scan(_) => 0,
             })
             .sum()
-    }
-
-    /// Random switch traffic shaped to hit the NAT, load-balancer and
-    /// ARP-proxy guards: a few addresses and ports (the LB's VIP among
-    /// them), replies to earlier tuples, departures of any in-flight packet
-    /// (not just the latest) that keep or rewrite its headers, packet ids
-    /// reused across two switches, and out-of-band port events.
-    fn random_trace(seed: u64, len: usize) -> Vec<NetEvent> {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        use swmon_packet::ArpPacket;
-        type Tuple = (Ipv4Address, u16, Ipv4Address, u16);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let ip = |rng: &mut SmallRng| match rng.random_range(0..6u8) {
-            5 => Ipv4Address::new(10, 0, 0, 100),
-            x => Ipv4Address::new(10, 0, 0, x + 1),
-        };
-        let port = |rng: &mut SmallRng| [80u16, 1000, 1001, 61000][rng.random_range(0..4usize)];
-        let tcp_pkt = |(a, p, b, q): Tuple, flags: TcpFlags| {
-            Arc::new(PacketBuilder::tcp(
-                MacAddr::new(2, 0, 0, 0, 0, a.0[3]),
-                MacAddr::new(2, 0, 0, 0, 0, b.0[3]),
-                a,
-                b,
-                p,
-                q,
-                flags,
-                &[],
-            ))
-        };
-        let flag_pool = [
-            TcpFlags::SYN,
-            TcpFlags::SYN,
-            TcpFlags::ACK,
-            TcpFlags::FIN,
-            TcpFlags::FIN | TcpFlags::ACK,
-            TcpFlags::RST,
-        ];
-        let mut seen: Vec<Tuple> = Vec::new();
-        let fresh_tuple = |rng: &mut SmallRng, seen: &mut Vec<Tuple>| {
-            let t = match seen.len() {
-                n if n > 0 && rng.random_bool(0.3) => {
-                    let (a, p, b, q) = seen[rng.random_range(0..n)];
-                    (b, q, a, p) // a reply to an earlier packet
-                }
-                _ => (ip(rng), port(rng), ip(rng), port(rng)),
-            };
-            seen.push(t);
-            t
-        };
-        let mut inflight: Vec<(SwitchId, PacketId, Arc<Packet>)> = Vec::new();
-        let (mut ms, mut next_id) = (0u64, 0u64);
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
-            ms += rng.random_range(0..120u64);
-            let time = at(ms);
-            let roll = rng.random_range(0..100u32);
-            let kind = if roll < 45 || inflight.is_empty() {
-                let pkt = if rng.random_bool(0.2) {
-                    let req = ArpPacket::request(
-                        MacAddr::new(2, 0, 0, 0, 0, 1),
-                        ip(&mut rng),
-                        ip(&mut rng),
-                    );
-                    if rng.random_bool(0.5) {
-                        Arc::new(PacketBuilder::arp(req))
-                    } else {
-                        Arc::new(PacketBuilder::arp(ArpPacket::reply_to(
-                            &req,
-                            MacAddr::new(2, 0, 0, 0, 0, 9),
-                        )))
-                    }
-                } else {
-                    let t = fresh_tuple(&mut rng, &mut seen);
-                    tcp_pkt(t, flag_pool[rng.random_range(0..flag_pool.len())])
-                };
-                let id = if next_id > 0 && rng.random_bool(0.15) {
-                    PacketId(rng.random_range(0..next_id))
-                } else {
-                    next_id += 1;
-                    PacketId(next_id - 1)
-                };
-                let switch = SwitchId(rng.random_range(0..2u32));
-                inflight.push((switch, id, pkt.clone()));
-                NetEventKind::Arrival { switch, port: PortNo(rng.random_range(0..3u16)), pkt, id }
-            } else if roll < 95 {
-                let i = rng.random_range(0..inflight.len());
-                let (switch, id, orig) = inflight[i].clone();
-                let pkt = if rng.random_bool(0.5) {
-                    orig // forwarded unmodified
-                } else {
-                    let t = fresh_tuple(&mut rng, &mut seen); // rewritten (translated)
-                    tcp_pkt(t, TcpFlags::ACK)
-                };
-                let action = match rng.random_range(0..8u16) {
-                    0 => EgressAction::Drop,
-                    1 => EgressAction::Flood,
-                    p => EgressAction::Output(PortNo(if p < 4 { p - 2 } else { p + 4 })),
-                };
-                if rng.random_bool(0.7) {
-                    inflight.swap_remove(i);
-                }
-                NetEventKind::Departure { switch, pkt, id, action }
-            } else {
-                NetEventKind::OutOfBand(OobEvent::PortDown(
-                    SwitchId(rng.random_range(0..2u32)),
-                    PortNo(rng.random_range(0..3u16)),
-                ))
-            };
-            out.push(NetEvent { time, kind });
-        }
-        out
     }
 
     /// Everything observable about a monitor's output and state size.

@@ -35,8 +35,11 @@ pub mod pattern;
 pub mod postcard;
 pub mod property;
 pub mod routing;
+mod slots;
 pub mod snapshot;
 pub mod telemetry;
+#[cfg(test)]
+mod testgen;
 pub mod var;
 pub mod violation;
 pub mod wire;

@@ -3,10 +3,10 @@
 //! A [`MonitorSnapshot`] is a faithful image of a monitor's semantic state —
 //! instance slots (with interned bindings and per-stage identity tokens),
 //! the free-list, the timer wheel with its exact tie-break counters, pending
-//! split-mode effects, raised violations and every statistics counter. It is
-//! produced by [`Monitor::snapshot`](crate::Monitor::snapshot) and consumed
-//! by [`Monitor::restore`](crate::Monitor::restore); the fault-tolerant
-//! runtime checkpoints shards with it (`docs/FAULTS.md`).
+//! split-mode effects, violations not yet taken and every statistics
+//! counter. It is produced by [`Monitor::snapshot`](crate::Monitor::snapshot)
+//! and consumed by [`Monitor::restore`](crate::Monitor::restore); the
+//! fault-tolerant runtime checkpoints shards with it (`docs/FAULTS.md`).
 //!
 //! ## Encoding
 //!
@@ -25,11 +25,12 @@
 //! structures (instances, effects, stats) are encoded here.
 
 use crate::engine::{Effect, Instance, KillReason, MonitorStats, TimerKind};
+use crate::slots::Slots;
 use crate::violation::Violation;
 pub use crate::wire::SnapshotError;
 use crate::wire::{Reader, Writer};
 use swmon_sim::time::Instant;
-use swmon_sim::timer::{TimerEntry, TimerId, TimerWheelSnapshot};
+use swmon_sim::timer::{TimerEntry, TimerId, TimerWheel, TimerWheelSnapshot};
 use swmon_sim::trace::PacketId;
 
 /// Current snapshot encoding version. Bump on any layout change.
@@ -43,13 +44,19 @@ const MAGIC: &[u8; 4] = b"SWMS";
 /// [`Monitor::restore`](crate::Monitor::restore). The derived lookup
 /// structures (dedup index, stage buckets, capacity cells) are not part of
 /// the snapshot — they are rebuilt deterministically from the slots.
+///
+/// A snapshot shares the monitor's slot chunks copy-on-write and holds a
+/// plain clone of its timer wheel, so taking one costs O(chunks + timers)
+/// rather than a copy of every instance. The canonical timer image
+/// (tombstones dropped, sorted by arming sequence) is built only when the
+/// snapshot is encoded or compared.
 #[derive(Debug, Clone)]
 pub struct MonitorSnapshot {
     pub(crate) property: String,
     pub(crate) stages: usize,
-    pub(crate) slots: Vec<Option<Instance>>,
+    pub(crate) slots: Slots,
     pub(crate) free: Vec<usize>,
-    pub(crate) timers: TimerWheelSnapshot<(usize, TimerKind)>,
+    pub(crate) timers: TimerWheel<(usize, TimerKind)>,
     pub(crate) pending: Vec<(Instant, Effect)>,
     pub(crate) violations: Vec<Violation>,
     pub(crate) now: Instant,
@@ -65,10 +72,11 @@ impl MonitorSnapshot {
 
     /// Number of live instances captured.
     pub fn live_instances(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.slots.live().count()
     }
 
-    /// Violations raised up to the snapshot point.
+    /// Violations raised up to the snapshot point and not yet taken
+    /// ([`Monitor::take_violations`](crate::Monitor::take_violations)).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
@@ -86,7 +94,7 @@ impl MonitorSnapshot {
         w.str(&self.property);
         w.u64(self.stages as u64);
         w.u64(self.slots.len() as u64);
-        for slot in &self.slots {
+        for slot in self.slots.iter() {
             match slot {
                 None => w.u8(0),
                 Some(inst) => {
@@ -99,10 +107,11 @@ impl MonitorSnapshot {
         for &f in &self.free {
             w.u64(f as u64);
         }
-        w.u64(self.timers.next_id);
-        w.u64(self.timers.next_seq);
-        w.u64(self.timers.entries.len() as u64);
-        for e in &self.timers.entries {
+        let timers = self.timers.snapshot();
+        w.u64(timers.next_id);
+        w.u64(timers.next_seq);
+        w.u64(timers.entries.len() as u64);
+        for e in &timers.entries {
             w.u64(e.deadline.as_nanos());
             w.u64(e.seq);
             w.u64(e.id.to_raw());
@@ -135,14 +144,13 @@ impl MonitorSnapshot {
         let property = r.str()?;
         let stages = r.len()?;
         let n_slots = r.len()?;
-        let mut slots = Vec::with_capacity(n_slots.min(1 << 20));
-        for _ in 0..n_slots {
-            slots.push(match r.u8()? {
-                0 => None,
-                1 => Some(read_instance(&mut r)?),
-                t => return Err(SnapshotError::BadTag { what: "slot", tag: t }),
-            });
-        }
+        let slots = (0..n_slots)
+            .map(|_| match r.u8()? {
+                0 => Ok(None),
+                1 => Ok(Some(read_instance(&mut r)?)),
+                t => Err(SnapshotError::BadTag { what: "slot", tag: t }),
+            })
+            .collect::<Result<Slots, _>>()?;
         let n_free = r.len()?;
         let mut free = Vec::with_capacity(n_free.min(1 << 20));
         for _ in 0..n_free {
@@ -185,7 +193,7 @@ impl MonitorSnapshot {
             stages,
             slots,
             free,
-            timers: TimerWheelSnapshot { entries, next_id, next_seq },
+            timers: TimerWheel::restore(&TimerWheelSnapshot { entries, next_id, next_seq }),
             pending,
             violations,
             now,
@@ -205,7 +213,7 @@ fn write_instance(w: &mut Writer, inst: &Instance) {
     w.u64(inst.awaiting as u64);
     w.bindings(&inst.bindings);
     w.u64(inst.stage_ids.len() as u64);
-    for id in &inst.stage_ids {
+    for id in inst.stage_ids.iter() {
         w.opt_u64(id.map(|PacketId(x)| x));
     }
     w.u64(inst.history.len() as u64);
@@ -279,10 +287,8 @@ fn read_instance(r: &mut Reader<'_>) -> Result<Instance, SnapshotError> {
     let awaiting = r.len()?;
     let bindings = r.bindings()?;
     let n_ids = r.len()?;
-    let mut stage_ids = Vec::with_capacity(n_ids.min(1 << 16));
-    for _ in 0..n_ids {
-        stage_ids.push(r.opt_u64()?.map(PacketId));
-    }
+    let stage_ids =
+        (0..n_ids).map(|_| r.opt_u64().map(|id| id.map(PacketId))).collect::<Result<_, _>>()?;
     let n_hist = r.len()?;
     let mut history = Vec::with_capacity(n_hist.min(1 << 16));
     for _ in 0..n_hist {
@@ -473,7 +479,7 @@ mod tests {
         assert_eq!(back.stats, snap.stats);
         assert_eq!(back.free, snap.free);
         assert_eq!(back.next_uid, snap.next_uid);
-        assert_eq!(back.timers, snap.timers);
+        assert_eq!(back.timers.snapshot(), snap.timers.snapshot());
         // Re-encoding the decode is byte-identical (canonical encoding).
         assert_eq!(back.to_bytes(), bytes);
     }
@@ -634,5 +640,93 @@ mod tests {
         }
         assert_eq!(reference.stats, revived.stats, "eviction patterns identical after restore");
         assert_eq!(reference.snapshot().to_bytes(), revived.snapshot().to_bytes());
+    }
+
+    /// Snapshot isolation, catalog-wide. A snapshot shares the live
+    /// monitor's slot chunks, so for every catalog property under inline,
+    /// split and capacity-bounded configurations:
+    ///
+    /// - the snapshot's encoding must not change while the live monitor
+    ///   keeps processing;
+    /// - a monitor restored from that (now older) snapshot and fed the
+    ///   suffix must equal the uninterrupted run, byte for byte;
+    /// - two monitors restored from the one snapshot and fed different,
+    ///   interleaved suffixes must each match a monitor restored from the
+    ///   snapshot's bytes (which shares nothing) fed the same suffix.
+    #[test]
+    fn snapshots_are_isolated_catalog_wide() {
+        use crate::testgen::catalog_trace;
+        let full = MonitorConfig { provenance: ProvenanceMode::Full, ..Default::default() };
+        let configs = [
+            ("inline", full),
+            (
+                "split",
+                MonitorConfig {
+                    mode: ProcessingMode::Split { lag: Duration::from_millis(40) },
+                    ..full
+                },
+            ),
+            ("capacity", MonitorConfig { capacity: Some(16), ..full }),
+        ];
+        let end = at(10_000_000);
+        let encoded = |m: &Monitor| m.snapshot().to_bytes();
+        for property in crate::test_catalog() {
+            let mut held = 0;
+            for (c, &(label, cfg)) in configs.iter().enumerate() {
+                for seed in 0..3u64 {
+                    let ctx = format!("{} {label} seed {seed}", property.name);
+                    let trace = catalog_trace(seed * 7 + c as u64, 900);
+                    let cut = trace.len() / 3 + seed as usize * 41;
+                    let fresh = || Monitor::new(property.clone(), cfg);
+                    let mut live = fresh();
+                    for ev in &trace[..cut] {
+                        live.process(ev);
+                    }
+                    let snap = live.snapshot();
+                    let frozen = snap.to_bytes();
+                    held += snap.live_instances();
+                    for ev in &trace[cut..] {
+                        live.process(ev);
+                    }
+                    live.advance_to(end);
+                    assert_eq!(
+                        snap.to_bytes(),
+                        frozen,
+                        "{ctx}: the live monitor wrote into its snapshot"
+                    );
+
+                    let (mut a, mut b, mut b_alone) = (fresh(), fresh(), fresh());
+                    a.restore(&snap).expect("restores");
+                    b.restore(&snap).expect("restores");
+                    b_alone
+                        .restore(&MonitorSnapshot::from_bytes(&frozen).expect("decodes"))
+                        .unwrap();
+                    for (i, ev) in trace[cut..].iter().enumerate() {
+                        a.process(ev);
+                        if i % 3 != 0 {
+                            b.process(ev);
+                            b_alone.process(ev);
+                        }
+                    }
+                    for m in [&mut a, &mut b, &mut b_alone] {
+                        m.advance_to(end);
+                    }
+                    assert_eq!(
+                        snap.to_bytes(),
+                        frozen,
+                        "{ctx}: a restored monitor wrote into the snapshot"
+                    );
+                    assert_eq!(a.live_instances(), live.live_instances(), "{ctx}");
+                    assert_eq!(encoded(&a), encoded(&live), "{ctx}: restore + replay diverged");
+                    assert_eq!(b.live_instances(), b_alone.live_instances(), "{ctx}");
+                    assert_eq!(
+                        encoded(&b),
+                        encoded(&b_alone),
+                        "{ctx}: sibling restores interfered"
+                    );
+                }
+            }
+            assert!(held > 0, "{}: no cut held a live instance", property.name);
+        }
     }
 }

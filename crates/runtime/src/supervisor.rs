@@ -562,11 +562,13 @@ impl Supervisor {
     /// full drain, and deploy commit).
     fn force_checkpoint(&mut self) {
         debug_assert_eq!(self.journal_pos, self.journal_len);
+        let t0 = std::time::Instant::now();
         self.checkpoint = Checkpoint {
             snapshots: self.state.monitors.iter().map(|(_, m)| m.snapshot()).collect(),
             records_len: self.state.records.len(),
             events: self.state.events,
         };
+        self.probe.checkpoint.record(t0.elapsed().as_nanos() as u64);
         self.journal.clear();
         self.journal_len = 0;
         self.journal_pos = 0;
@@ -942,5 +944,61 @@ mod tests {
         let out = run_with(base_cfg(), vec![100_000], 20);
         assert_eq!(out.restarts, 0);
         assert_eq!(out.processed, 20);
+    }
+
+    /// Violations move out of the monitors at harvest (`take_violations`),
+    /// so the worker's records are their only copy. Across injected
+    /// crashes and recoveries every violation must still be recorded, and
+    /// published to the sink, exactly once — and neither the live monitors
+    /// nor any checkpoint may hold one after a batch is harvested.
+    #[test]
+    fn every_violation_is_harvested_exactly_once_across_recovery() {
+        use std::sync::Mutex;
+        #[derive(Debug, Default)]
+        struct Collect(Mutex<Vec<crate::ViolationRecord>>);
+        impl ViolationSink for Collect {
+            fn publish(&self, _shard: usize, records: &[crate::ViolationRecord]) {
+                self.0.lock().unwrap().extend_from_slice(records);
+            }
+            fn seal(&self, _merged: &[crate::ViolationRecord]) {}
+        }
+        silence_injected_panics();
+        let n = 60;
+        let end = Instant::from_nanos(1_000_000);
+        let mut reference = Monitor::new(repeat_prop(), base_cfg().monitor);
+        for seq in 0..n {
+            reference.process(&test_ev(seq));
+        }
+        reference.advance_to(end);
+        assert!(reference.violations().len() > 10);
+        let run = |inject: Vec<u64>| {
+            let sink = Arc::new(Collect::default());
+            let mut spec = spec(base_cfg(), inject);
+            spec.sink = Some(sink.clone());
+            let mut sup = Supervisor::new(spec);
+            for batch in batches(n) {
+                sup.apply_batch(batch).expect("shard survives");
+                assert!(sup.state.monitors.iter().all(|(_, m)| m.violations().is_empty()));
+                assert!(sup.checkpoint.snapshots.iter().all(|s| s.violations().is_empty()));
+            }
+            sup.finish_inline(end).expect("shard survives");
+            let out = sup.into_outcome();
+            let published = std::mem::take(&mut *sink.0.lock().unwrap());
+            (out, published)
+        };
+        let (clean, clean_published) = run(vec![]);
+        let (faulty, faulty_published) = run(vec![3, 21, 33, 47]);
+        assert_eq!(faulty.restarts, 4);
+        let sigs = |rs: &[crate::ViolationRecord]| {
+            rs.iter().map(crate::merge::signature).collect::<Vec<_>>()
+        };
+        let want: Vec<String> = reference.violations().iter().map(|v| v.summary()).collect();
+        for (records, published) in
+            [(&clean.report.records, &clean_published), (&faulty.report.records, &faulty_published)]
+        {
+            let got: Vec<String> = records.iter().map(|r| r.violation.summary()).collect();
+            assert_eq!(got, want, "each violation recorded once, in discovery order");
+            assert_eq!(sigs(published), sigs(records), "each violation published once");
+        }
     }
 }

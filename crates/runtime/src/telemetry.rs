@@ -53,6 +53,9 @@ pub struct ShardProbe {
     pub queue_depth: Histogram,
     /// Per-recovery checkpoint-restore latency, nanoseconds.
     pub recovery: Histogram,
+    /// Per-checkpoint capture latency, nanoseconds (snapshot every hosted
+    /// monitor, release the previous checkpoint).
+    pub checkpoint: Histogram,
     /// Per-deploy quiesce pause, nanoseconds (journal drain + forced
     /// checkpoint + snapshot encode). Empty until a deploy quiesces.
     pub quiesce: Histogram,
@@ -236,6 +239,10 @@ impl TelemetryHub {
             page.histograms.push((
                 Key::labeled(names::SHARD_RECOVERY_NANOS, "shard", s),
                 probe.recovery.snapshot(),
+            ));
+            page.histograms.push((
+                Key::labeled(names::SHARD_CHECKPOINT_NANOS, "shard", s),
+                probe.checkpoint.snapshot(),
             ));
             page.histograms.push((
                 Key::labeled(names::SHARD_QUIESCE_NANOS, "shard", s),

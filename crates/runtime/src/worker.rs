@@ -63,9 +63,8 @@ impl WorkerState {
             mask &= mask - 1;
             let Some(local) = self.lut.get(global).copied().flatten() else { continue };
             let (_, m) = &mut self.monitors[local];
-            let before = m.violations().len();
             m.process(ev);
-            degraded += harvest(&mut self.records, m, global, before, seq, self.epoch, in_gap);
+            degraded += harvest(&mut self.records, m, global, seq, self.epoch, in_gap);
         }
         degraded
     }
@@ -77,9 +76,8 @@ impl WorkerState {
         for i in 0..self.monitors.len() {
             let (global, m) = &mut self.monitors[i];
             let g = *global;
-            let before = m.violations().len();
             m.advance_to(end);
-            degraded += harvest(&mut self.records, m, g, before, FLUSH_SEQ, self.epoch, in_gap);
+            degraded += harvest(&mut self.records, m, g, FLUSH_SEQ, self.epoch, in_gap);
         }
         degraded
     }
@@ -92,23 +90,24 @@ impl WorkerState {
     }
 }
 
+/// Move `m`'s new violations into `records`. The records are the only
+/// copy: the monitor keeps none, so its checkpoints never carry the run's
+/// violation history.
 fn harvest(
     records: &mut Vec<ViolationRecord>,
-    m: &Monitor,
+    m: &mut Monitor,
     global: usize,
-    before: usize,
     seq: u64,
     epoch: u64,
     in_gap: bool,
 ) -> u64 {
-    let vs = m.violations();
-    if vs.len() == before {
+    if m.violations().is_empty() {
         return 0;
     }
+    let taken = m.take_violations();
     let prop = m.property();
     let mut degraded = 0;
-    for v in &vs[before..] {
-        let mut violation = v.clone();
+    for mut violation in taken {
         if in_gap {
             // Coverage around this violation is incomplete (events were
             // shed); downgrade its provenance rather than present stripped
@@ -120,7 +119,7 @@ fn harvest(
         records.push(ViolationRecord {
             seq,
             property: global,
-            rank: kind_rank(prop, &v.trigger_stage),
+            rank: kind_rank(prop, &violation.trigger_stage),
             epoch,
             violation,
         });

@@ -66,7 +66,11 @@ pub struct TimerWheelSnapshot<T> {
 ///
 /// Cancellation and refresh are O(log n) amortised: superseded heap entries
 /// are tombstoned and skipped lazily on pop.
-#[derive(Debug)]
+///
+/// A clone is a faithful checkpoint: it copies the heap and the live map
+/// as they are, tombstones included, which is cheaper than building the
+/// canonical [`TimerWheelSnapshot`] and behaves identically.
+#[derive(Debug, Clone)]
 pub struct TimerWheel<T> {
     heap: BinaryHeap<Reverse<(Instant, u64, TimerId, u64)>>,
     /// Live timers: id -> (current deadline, generation, payload). An id
@@ -197,7 +201,9 @@ impl<T> TimerWheel<T> {
 }
 
 impl<T: Clone> TimerWheel<T> {
-    /// Capture the wheel's live state for checkpointing.
+    /// Capture the wheel's live state in canonical form, for encoding and
+    /// comparison (two wheels behave identically iff their images match;
+    /// tombstones are invisible to both).
     ///
     /// The snapshot keeps the exact `(deadline, seq, id, generation)` tuple
     /// of every live timer plus both counters, so a [`TimerWheel::restore`]d

@@ -14,10 +14,8 @@
 //! probe is one binary search of a flat postings index, not a scan of
 //! `Display` output.
 
-use std::collections::HashMap;
-
 use swmon_core::wire::{Reader, SnapshotError, Writer};
-use swmon_core::{var, VarId, VarTable};
+use swmon_core::{var, Var, VarId, VarTable};
 use swmon_packet::FieldValue;
 use swmon_runtime::ViolationRecord;
 
@@ -75,20 +73,80 @@ pub struct Segment {
     degraded: Vec<u32>,
 }
 
+/// `(key, row)` packed into one integer whose order is the tuple order
+/// (`FieldValue` orders by variant, then by value; MAC and IPv4 bytes
+/// compare as big-endian integers), so the postings sort compares
+/// integers instead of enums. Bits: variable 16, variant 2, value 64,
+/// row 32.
+fn sort_key((id, val): (VarId, FieldValue), row: u32) -> u128 {
+    let (variant, value) = match val {
+        FieldValue::Mac(m) => (0u128, m.0.iter().fold(0u64, |acc, &b| acc << 8 | u64::from(b))),
+        FieldValue::Ipv4(a) => (1, u64::from(u32::from_be_bytes(a.0))),
+        FieldValue::Uint(v) => (2, v),
+    };
+    u128::from(id.0) << 98 | variant << 96 | u128::from(value) << 32 | u128::from(row)
+}
+
+/// Key → row positions for a handful of distinct keys, filled in row
+/// order. `last` remembers the previous row's entry, so a run of equal
+/// keys costs one comparison per row.
+struct Postings<K> {
+    entries: Vec<(K, Vec<u32>)>,
+    last: usize,
+}
+
+impl<K> Default for Postings<K> {
+    fn default() -> Self {
+        Postings { entries: Vec::new(), last: 0 }
+    }
+}
+
+impl<K: PartialEq + Ord> Postings<K> {
+    fn push(&mut self, key: K, row: u32) {
+        if self.entries.get(self.last).is_none_or(|(k, _)| *k != key) {
+            self.last = match self.entries.iter().position(|(k, _)| *k == key) {
+                Some(at) => at,
+                None => {
+                    self.entries.push((key, Vec::new()));
+                    self.entries.len() - 1
+                }
+            };
+        }
+        self.entries[self.last].1.push(row);
+    }
+
+    fn sorted(mut self) -> Vec<(K, Vec<u32>)> {
+        self.entries.sort_by(|a, b| a.0.cmp(&b.0));
+        self.entries
+    }
+}
+
 impl Segment {
     /// Build a segment (and all its indexes) from `rows`.
+    ///
+    /// A published batch holds few distinct properties, shards, epochs
+    /// and binder variables, usually in runs, so each index key is found
+    /// by a linear probe that tries the previous row's key first — no
+    /// hashing, and no per-binding string comparison (variables are
+    /// interned, so the probe compares pointers).
     pub fn build(rows: Vec<Row>) -> Self {
         let mut min_time = u64::MAX;
         let mut max_time = 0u64;
-        let vars = VarTable::from_vars(
-            rows.iter()
-                .filter_map(|r| r.record.violation.bindings.as_ref())
-                .flat_map(|b| b.iter().map(|(v, _)| *v)),
-        );
-        let mut props: HashMap<&str, Vec<u32>> = HashMap::new();
-        let mut pairs: Vec<((VarId, FieldValue), u32)> = Vec::new();
-        let mut shards: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut epochs: HashMap<u64, Vec<u32>> = HashMap::new();
+        let mut var_list: Vec<Var> = Vec::new();
+        for b in rows.iter().filter_map(|r| r.record.violation.bindings.as_ref()) {
+            for (v, _) in b.iter() {
+                if !var_list.contains(v) {
+                    var_list.push(*v);
+                }
+            }
+        }
+        let vars = VarTable::from_vars(var_list.iter().copied());
+        let ids: Vec<(Var, VarId)> =
+            var_list.iter().map(|v| (*v, vars.id(v).expect("table built from these"))).collect();
+        let mut props: Postings<&str> = Postings::default();
+        let mut pairs: Vec<(u128, (VarId, FieldValue))> = Vec::new();
+        let mut shards: Postings<u32> = Postings::default();
+        let mut epochs: Postings<u64> = Postings::default();
         let mut degraded = Vec::new();
         for (i, row) in rows.iter().enumerate() {
             let i = i as u32;
@@ -96,37 +154,31 @@ impl Segment {
             let t = v.time.as_nanos();
             min_time = min_time.min(t);
             max_time = max_time.max(t);
-            props.entry(v.property.as_str()).or_default().push(i);
+            props.push(v.property.as_str(), i);
             if let Some(b) = &v.bindings {
                 for (bv, val) in b.iter() {
-                    let id = vars.id(bv).expect("segment VarTable covers its own rows");
-                    pairs.push(((id, *val), i));
+                    let id = ids.iter().find(|(v, _)| v == bv).map(|&(_, id)| id);
+                    let key = (id.expect("segment VarTable covers its own rows"), *val);
+                    pairs.push((sort_key(key, i), key));
                 }
             }
-            shards.entry(row.shard).or_default().push(i);
-            epochs.entry(row.record.epoch).or_default().push(i);
+            shards.push(row.shard, i);
+            epochs.push(row.record.epoch, i);
             if v.degraded {
                 degraded.push(i);
             }
         }
-        // Row positions are pushed in increasing order, so the full
-        // (key, position) sort leaves each key's postings run sorted.
-        pairs.sort_unstable();
+        // Sorting by (key, position) leaves each key's postings run sorted.
+        pairs.sort_unstable_by_key(|&(k, _)| k);
         let mut bind_keys: Vec<((VarId, FieldValue), u32, u32)> = Vec::new();
-        let bind_postings: Vec<u32> = pairs.iter().map(|&(_, i)| i).collect();
-        for (at, &(key, _)) in pairs.iter().enumerate() {
+        let bind_postings: Vec<u32> = pairs.iter().map(|&(k, _)| k as u32).collect();
+        for (at, &(_, key)) in pairs.iter().enumerate() {
             match bind_keys.last_mut() {
                 Some((k, _, end)) if *k == key => *end += 1,
                 _ => bind_keys.push((key, at as u32, at as u32 + 1)),
             }
         }
-        let mut props: Vec<(String, Vec<u32>)> =
-            props.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        props.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut shards: Vec<(u32, Vec<u32>)> = shards.into_iter().collect();
-        shards.sort_by_key(|(s, _)| *s);
-        let mut epochs: Vec<(u64, Vec<u32>)> = epochs.into_iter().collect();
-        epochs.sort_by_key(|(e, _)| *e);
+        let props = props.sorted().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
         Segment {
             rows,
             min_time,
@@ -135,8 +187,8 @@ impl Segment {
             props,
             bind_keys,
             bind_postings,
-            shards,
-            epochs,
+            shards: shards.sorted(),
+            epochs: epochs.sorted(),
             degraded,
         }
     }
@@ -380,5 +432,34 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert!(matches!(Segment::from_bytes(&trailing).unwrap_err(), SnapshotError::Malformed(_)));
+    }
+
+    #[test]
+    fn packed_sort_key_orders_like_the_tuple() {
+        use swmon_packet::{Ipv4Address, MacAddr};
+        let values = [
+            FieldValue::Mac(MacAddr::new(0, 0, 0, 0, 0, 1)),
+            FieldValue::Mac(MacAddr::new(0, 0, 0, 0, 1, 0)),
+            FieldValue::Mac(MacAddr::new(0xff, 0, 0, 0, 0, 0)),
+            FieldValue::Ipv4(Ipv4Address::new(10, 0, 0, 2)),
+            FieldValue::Ipv4(Ipv4Address::new(10, 0, 1, 0)),
+            FieldValue::Ipv4(Ipv4Address::new(255, 255, 255, 255)),
+            FieldValue::Uint(0),
+            FieldValue::Uint(7),
+            FieldValue::Uint(u64::MAX),
+        ];
+        let mut tuples = Vec::new();
+        for id in [0u16, 1, 7] {
+            for &v in &values {
+                for row in [0u32, 5, u32::MAX] {
+                    tuples.push(((VarId(id), v), row));
+                }
+            }
+        }
+        for a in &tuples {
+            for b in &tuples {
+                assert_eq!(sort_key(a.0, a.1).cmp(&sort_key(b.0, b.1)), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 }

@@ -37,6 +37,10 @@ pub const SHARD_QUEUE_DEPTH: &str = "swmon_shard_queue_depth";
 /// Per-shard checkpoint-restore latency in nanoseconds (histogram).
 /// Label: `shard`.
 pub const SHARD_RECOVERY_NANOS: &str = "swmon_shard_recovery_nanos";
+/// Per-shard checkpoint latency in nanoseconds (histogram): capturing every
+/// hosted monitor's snapshot and releasing the previous checkpoint.
+/// Label: `shard`.
+pub const SHARD_CHECKPOINT_NANOS: &str = "swmon_shard_checkpoint_nanos";
 /// Per-shard: checkpoint-stable violation records published to the live
 /// violation store sink. Label: `shard`.
 pub const SHARD_STORE_PUBLISHED: &str = "swmon_shard_store_published_total";
@@ -95,6 +99,7 @@ pub const ALL: &[&str] = &[
     SHARD_VIOLATIONS,
     SHARD_QUEUE_DEPTH,
     SHARD_RECOVERY_NANOS,
+    SHARD_CHECKPOINT_NANOS,
     SHARD_STORE_PUBLISHED,
     STORE_SEALED,
     PROPERTY_SET_EPOCH,
@@ -126,6 +131,6 @@ mod tests {
                 "{name} is not snake_case"
             );
         }
-        assert_eq!(ALL.len(), 28);
+        assert_eq!(ALL.len(), 29);
     }
 }
