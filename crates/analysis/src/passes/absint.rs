@@ -4,8 +4,8 @@
 //! reports what the fixpoint proved beyond the syntactic passes:
 //!
 //! * `SW010` (Note) — the refined event-class mask is *strictly* tighter
-//!   than the syntactic one, so the hot path can skip whole event classes
-//!   (consume it through `swmon_core::AnalysisFacts`);
+//!   than the syntactic one: the property mentions event classes that can
+//!   never affect it, which the engine still dispatches to it;
 //! * `SW011` (Warning) — a clearing clause is dominated by an earlier one
 //!   on the same stage: every event the later clause clears, the earlier
 //!   clause already clears, so the later clause never fires uniquely;
@@ -67,9 +67,15 @@ fn refined_mask(ctx: &Ctx<'_>, facts: &PropertyFacts, out: &mut Vec<Diagnostic>)
             facts.syntactic_mask, facts.refined_mask
         ),
         suggestion: Some(
-            "route the refined mask to the engine via swmon_core::AnalysisFacts to skip those \
-             classes on the hot path"
-                .into(),
+            if ctx.prop.stages[0].unless.is_empty() {
+                "delete the clause(s) or stage(s) the analysis proves can never fire (see \
+                 SW012); the syntactic mask then equals the refined one"
+            } else {
+                "delete the stage-0 clearing clause(s): no instance awaits stage 0, so they \
+                 cannot clear anything, and without them the syntactic mask equals the \
+                 refined one"
+            }
+            .into(),
         ),
     });
 }
@@ -185,7 +191,11 @@ mod tests {
         p.stages[0].unless =
             vec![Unless { pattern: EventPattern::OutOfBand(OobPattern::Any), guard: Guard::any() }];
         let diags = analyze(&p);
-        assert!(diags.iter().any(|d| d.code == Code::RefinedMask), "{diags:#?}");
+        let note = diags.iter().find(|d| d.code == Code::RefinedMask).expect("SW010 fires");
+        assert!(note.suggestion.as_deref().unwrap().contains("stage-0 clearing"), "{note:#?}");
+        // Following the suggestion removes the finding.
+        p.stages[0].unless.clear();
+        assert!(analyze(&p).iter().all(|d| d.code != Code::RefinedMask));
     }
 
     #[test]

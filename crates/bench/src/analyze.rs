@@ -235,7 +235,7 @@ mod tests {
 
     #[test]
     fn every_catalog_property_gets_quantitative_figures_on_some_backend() {
-        // The acceptance criterion: per-backend state-bit / register /
+        // What Table 2 needs: per-backend state-bit / register /
         // table-entry estimates exist for every catalog property.
         for r in run_catalog() {
             assert!(

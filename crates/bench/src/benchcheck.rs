@@ -3,10 +3,12 @@
 //! Every `BENCH_*.json` file (by default those in the working directory,
 //! otherwise the files named on the command line) is parsed with the
 //! workspace's one JSON reader, [`swmon_analysis::json::parse`]. A file
-//! fails when it does not parse, when its top level is not an object, or
-//! when any object inside it carries `"verified": false`. This replaces
-//! text greps over benchmark output with one parser, so a malformed
-//! artifact fails as loudly as an unverified row.
+//! fails when it does not parse, when its top level is not an object, when
+//! any object inside it carries `"verified": false`, when a `rows` or
+//! `queries` array is empty, or when nothing in it says `"verified": true`.
+//! This replaces text greps over benchmark output with one parser, so a
+//! malformed artifact, an unverified row and a row that was never run all
+//! fail alike.
 
 use std::path::{Path, PathBuf};
 
@@ -38,32 +40,55 @@ pub fn check_source(src: &str) -> Result<(), String> {
     if !matches!(doc, Value::Obj(_)) {
         return Err("top level is not a JSON object".into());
     }
-    let mut unverified = Vec::new();
-    find_unverified(&doc, "$", &mut unverified);
-    if unverified.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("\"verified\": false at {}", unverified.join(", ")))
+    let mut audit = Audit::default();
+    audit.walk(&doc, "$");
+    if !audit.unverified.is_empty() {
+        return Err(format!("\"verified\": false at {}", audit.unverified.join(", ")));
     }
+    if !audit.empty.is_empty() {
+        return Err(format!("empty row list at {}", audit.empty.join(", ")));
+    }
+    if audit.verified == 0 {
+        return Err("no \"verified\": true anywhere: nothing was checked".into());
+    }
+    Ok(())
 }
 
-/// Collect the path of every object whose `verified` field is `false`.
-fn find_unverified(v: &Value, at: &str, out: &mut Vec<String>) {
-    match v {
-        Value::Obj(fields) => {
-            for (k, child) in fields {
-                if k == "verified" && *child == Value::Bool(false) {
-                    out.push(at.to_string());
+/// What a walk over one document found.
+#[derive(Default)]
+struct Audit {
+    /// Objects carrying `"verified": true`.
+    verified: usize,
+    /// Paths of objects carrying `"verified": false`.
+    unverified: Vec<String>,
+    /// Paths of empty `rows` / `queries` arrays.
+    empty: Vec<String>,
+}
+
+impl Audit {
+    fn walk(&mut self, v: &Value, at: &str) {
+        match v {
+            Value::Obj(fields) => {
+                for (k, child) in fields {
+                    let path = format!("{at}.{k}");
+                    match (k.as_str(), child) {
+                        ("verified", Value::Bool(true)) => self.verified += 1,
+                        ("verified", Value::Bool(false)) => self.unverified.push(at.to_string()),
+                        ("rows" | "queries", Value::Arr(items)) if items.is_empty() => {
+                            self.empty.push(path.clone())
+                        }
+                        _ => {}
+                    }
+                    self.walk(child, &path);
                 }
-                find_unverified(child, &format!("{at}.{k}"), out);
             }
-        }
-        Value::Arr(items) => {
-            for (i, child) in items.iter().enumerate() {
-                find_unverified(child, &format!("{at}[{i}]"), out);
+            Value::Arr(items) => {
+                for (i, child) in items.iter().enumerate() {
+                    self.walk(child, &format!("{at}[{i}]"));
+                }
             }
+            _ => {}
         }
-        _ => {}
     }
 }
 
@@ -103,7 +128,18 @@ mod tests {
     #[test]
     fn verified_documents_pass() {
         assert_eq!(check_source(r#"{"rows": [{"verified": true}], "verified": true}"#), Ok(()));
-        assert_eq!(check_source(r#"{"experiment": "x"}"#), Ok(()));
+    }
+
+    #[test]
+    fn documents_that_check_nothing_fail() {
+        let none = Err("no \"verified\": true anywhere: nothing was checked".into());
+        assert_eq!(check_source(r#"{"experiment": "x"}"#), none);
+        assert_eq!(check_source(r#"{"rows": [{"config": "a"}]}"#), none);
+        assert_eq!(
+            check_source(r#"{"rows": [], "verified": true}"#),
+            Err("empty row list at $.rows".into())
+        );
+        assert!(check_source(r#"{"queries": [], "rows": [{"verified": true}]}"#).is_err());
     }
 
     #[test]

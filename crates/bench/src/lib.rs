@@ -2,8 +2,8 @@
 //! # swmon-bench — the experiment harness
 //!
 //! Every table and figure-equivalent of the paper as a library function:
-//! the `repro` binary prints them, integration tests assert their shapes,
-//! and the Criterion benches measure the wall-clock side.
+//! the `repro` binary prints them, and integration tests assert their
+//! shapes. E13–E17 measure the wall-clock side.
 //!
 //! | Experiment | Paper artifact | Module |
 //! |---|---|---|

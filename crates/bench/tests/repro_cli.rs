@@ -79,12 +79,13 @@ fn bench_check_fails_on_malformed_or_unverified_files() {
     let good = write("good.json", r#"{"rows": [{"verified": true}], "verified": true}"#);
     let preamble = write("preamble.json", "E16 table\n{\"verified\": true}\n");
     let unverified = write("unverified.json", r#"{"rows": [{"verified": false}]}"#);
+    let vacuous = write("vacuous.json", r#"{"experiment": "x"}"#);
     let run = |files: &[&str]| {
         let out = repro(&[&["bench-check"], files].concat());
         (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
     };
     assert_eq!(run(&[&good]).0, Some(0));
-    for bad in [&preamble, &unverified] {
+    for bad in [&preamble, &unverified, &vacuous] {
         let (code, stdout) = run(&[&good, bad]);
         assert_eq!(code, Some(1), "{stdout}");
         assert!(stdout.contains(&format!("FAIL {bad}")), "{stdout}");

@@ -97,9 +97,6 @@ pub enum RuntimeError {
     },
     /// More than [`MAX_PROPERTIES`] properties were supplied.
     TooManyProperties(usize),
-    /// An [`swmon_core::AnalysisFacts`] bundle failed its seam check
-    /// against the property it claims to describe.
-    RejectedFacts(String),
     /// A shard exhausted its restart budget (or failed to restore a
     /// checkpoint) and was escalated by its supervisor.
     ShardFailed {
@@ -140,9 +137,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::TooManyProperties(n) => {
                 write!(f, "{n} properties exceed the runtime limit of {MAX_PROPERTIES}")
-            }
-            RuntimeError::RejectedFacts(why) => {
-                write!(f, "analysis facts rejected at the seam: {why}")
             }
             RuntimeError::ShardFailed { shard, restarts, message } => {
                 write!(f, "shard {shard} failed after {restarts} restart(s): {message}")
@@ -213,29 +207,6 @@ impl ShardedRuntime {
         }
         let cfg = cfg.normalized();
         let router = Router::new(&props, &cfg.monitor, cfg.shards);
-        Ok(ShardedRuntime { props, cfg, router })
-    }
-
-    /// As [`ShardedRuntime::new`], but the router's pre-dispatch masks come
-    /// from analysis-proven facts (`facts[i]` describes `props[i]`, checked
-    /// here via [`swmon_core::AnalysisFacts::validate_for`]). With
-    /// conservative facts this is byte-identical to [`ShardedRuntime::new`];
-    /// with analysis facts it is differentially verified byte-identical on
-    /// *output* (merged violation records) at every shard count.
-    pub fn new_with_facts(
-        props: Vec<Property>,
-        facts: &[swmon_core::AnalysisFacts],
-        cfg: RuntimeConfig,
-    ) -> Result<Self, RuntimeError> {
-        if props.len() > MAX_PROPERTIES {
-            return Err(RuntimeError::TooManyProperties(props.len()));
-        }
-        for (index, p) in props.iter().enumerate() {
-            p.validate().map_err(|source| RuntimeError::Invalid { index, source })?;
-        }
-        let cfg = cfg.normalized();
-        let router = Router::with_facts(&props, facts, &cfg.monitor, cfg.shards)
-            .map_err(|e| RuntimeError::RejectedFacts(e.to_string()))?;
         Ok(ShardedRuntime { props, cfg, router })
     }
 
@@ -449,8 +420,7 @@ pub struct Session<'rt> {
     /// what sessions *start* with.)
     catalog: CatalogEpoch,
     /// Routing for the current epoch (rebuilt at every committed deploy;
-    /// facts-refined pre-dispatch masks carry across on retained
-    /// properties).
+    /// retained properties carry their placements across).
     router: Router,
     /// `probe_idx[i]` is current property `i`'s index into the hub's
     /// fixed-at-start engine-probe catalog (`None` for properties deployed
@@ -855,8 +825,7 @@ impl Session<'_> {
     /// activation (see `docs/DEPLOY.md`):
     ///
     /// 1. **Validate** — [`CatalogEpoch::apply`] derives the next epoch;
-    ///    any structural/facts rejection happens before a shard is
-    ///    touched.
+    ///    any structural rejection happens before a shard is touched.
     /// 2. **Quiesce** — every shard drains its journal (crashing and
     ///    recovering here rides the normal supervision path), forces a
     ///    checkpoint, and snapshots its monitors.
@@ -900,24 +869,16 @@ impl Session<'_> {
         let quiesce_nanos: Vec<u64> = acks.iter().map(|a| a.quiesce_nanos).collect();
         self.stats.quiesce_nanos += quiesce_nanos.iter().sum::<u64>();
         // Next epoch's placements. Retained properties carry their derived
-        // plan and (possibly facts-refined) pre-dispatch mask verbatim;
-        // upgraded/added ones derive fresh placements, from their deploy
-        // facts when supplied (already seam-checked by `apply`).
+        // plan and pre-dispatch mask verbatim; upgraded/added ones derive
+        // fresh placements.
         let cfg = &self.rt.cfg;
         let mut routes = Vec::with_capacity(next.properties().len());
         for (i, p) in next.properties().iter().enumerate() {
             let route = match next.origin(i) {
                 PropertyOrigin::Retained(prev) => self.router.routes()[prev].reindexed(i, shards),
-                PropertyOrigin::Upgraded(_) | PropertyOrigin::Added => match next.facts(i) {
-                    Some(f) => {
-                        match PropertyRoute::for_property_with_facts(i, p, &cfg.monitor, shards, f)
-                        {
-                            Ok(r) => r,
-                            Err(e) => return Err(self.reject(prior, e.to_string())),
-                        }
-                    }
-                    None => PropertyRoute::for_property(i, p, &cfg.monitor, shards),
-                },
+                PropertyOrigin::Upgraded(_) | PropertyOrigin::Added => {
+                    PropertyRoute::for_property(i, p, &cfg.monitor, shards)
+                }
             };
             routes.push(route);
         }

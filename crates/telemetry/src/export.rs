@@ -188,7 +188,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    \"{}\": {}", escape(&a.label), a.value);
+            let _ = write!(out, "\n    \"{}\": {}", json_escape(&a.label), a.value);
         }
         out.push_str("\n  },\n  \"spans\": [");
         for (i, s) in self.spans.iter().enumerate() {
@@ -215,19 +215,43 @@ fn json_entry(out: &mut String, first: &mut bool, key: &Key, value_json: &str) {
         out.push(',');
     }
     *first = false;
-    let labels: Vec<String> =
-        key.labels.iter().map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v))).collect();
+    let labels: Vec<String> = key
+        .labels
+        .iter()
+        .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
+        .collect();
     let _ = write!(
         out,
         "\n    {{\"name\": \"{}\", \"labels\": {{{}}}, \"value\": {}}}",
-        escape(&key.name),
+        json_escape(&key.name),
         labels.join(", "),
         value_json
     );
 }
 
+/// Prometheus label-value escaping: backslash, double quote and newline.
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+}
+
+/// JSON string escaping: every character below 0x20 is escaped, so a label
+/// holding a tab or another control character still yields valid JSON.
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -288,5 +312,20 @@ mod tests {
         };
         assert!(s.to_prometheus().contains("p=\"a\\\"b\\\\c\""));
         assert!(s.to_json().contains("a\\\"b\\\\c"));
+    }
+
+    #[test]
+    fn json_page_escapes_control_characters() {
+        let label = "\t\r\u{1}";
+        let mut s = Snapshot {
+            counters: vec![(Key::labeled("m", "property", label), 1)],
+            ..Default::default()
+        };
+        s.annotate(label, 2);
+        let doc = swmon_analysis::json::parse(&s.to_json()).expect("page is valid JSON");
+        let counter = &doc.get("counters").and_then(|c| c.as_arr()).expect("counters")[0];
+        let value = counter.get("labels").and_then(|l| l.get("property")).and_then(|v| v.as_str());
+        assert_eq!(value, Some(label), "the label round-trips");
+        assert!(doc.get("annotations").and_then(|a| a.get(label)).is_some());
     }
 }

@@ -1,88 +1,78 @@
-//! Differential verification of the abstract-interpretation facts: an
-//! analysis-refined pre-dispatch mask (and stage-liveness set) must be
-//! *invisible* in the output. Every check here runs the same trace through
-//! an unoptimized reference and through the facts-consuming path —
-//! [`MonitorSet::add_with_facts`] at the set level,
-//! [`ShardedRuntime::new_with_facts`] at the system level, at shard counts
-//! 1/2/4/8 — and demands byte-for-byte identical violation records.
+//! Differential verification of the abstract-interpretation facts that
+//! lints SW010 and SW012 rest on: the refined event-class mask and stage
+//! liveness. The claim is that an event whose class misses the refined
+//! mask can never spawn, advance, clear or refresh an instance, and that a
+//! property whose last stage is dead never violates.
 //!
-//! The soundness property being exercised (satellite 3 of the analysis
-//! issue): a refined mask never drops an output-changing event. Random
-//! properties are generated with the constructs the analysis reasons
-//! about — constant guards, bindings, clearing clauses (including
+//! Every check runs one plain [`Monitor`] on the whole trace and a second
+//! one on the trace pre-filtered here: an event is kept iff its class bit
+//! hits `m`, where `m` is the refined mask when the last stage is live and
+//! `0` otherwise. Both then advance to the same end time, and their
+//! violations must be identical. The engine itself never consumes these
+//! facts; it always dispatches on the syntactic mask.
+//!
+//! Random properties are generated with the constructs the analysis
+//! reasons about: constant guards, bindings, clearing clauses (including
 //! stage-0 clearings, whose event classes the analysis provably drops),
 //! deadline windows, and cross-stage constant conflicts.
 
 use proptest::prelude::*;
 use swmon::analysis::absint::property_facts;
 use swmon::monitor::{
-    ActionPattern, AnalysisFacts, EventPattern, Monitor, MonitorConfig, MonitorSet, Property,
-    PropertyBuilder,
+    event_class, ActionPattern, EventPattern, Monitor, Property, PropertyBuilder,
 };
 use swmon::packet::{Field, Ipv4Address, MacAddr, PacketBuilder, TcpFlags};
-use swmon::runtime::{reference_records, signature, RuntimeConfig, ShardedRuntime};
 use swmon::sim::{
     Duration, EgressAction, Instant, NetEvent, OobEvent, PortNo, SwitchId, TraceBuilder,
 };
 
-/// Shard counts every system-level differential sweeps.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Analysis facts for each property, through the checked core seam.
-fn facts_for(props: &[Property]) -> Vec<AnalysisFacts> {
-    props
-        .iter()
-        .map(|p| property_facts(p).to_core(p).expect("analysis facts must pass the core check"))
-        .collect()
-}
-
-/// Reference output vs. the facts-consuming runtime at every shard count.
-fn assert_facts_runtime_matches(props: &[Property], trace: &[NetEvent], end: Instant) {
-    let reference = reference_records(props, MonitorConfig::default(), trace, end);
-    let expect: Vec<String> = reference.iter().map(signature).collect();
-    let facts = facts_for(props);
-    for shards in SHARD_COUNTS {
-        let rt = ShardedRuntime::new_with_facts(
-            props.to_vec(),
-            &facts,
-            RuntimeConfig::with_shards(shards),
-        )
-        .expect("validated properties with checked facts");
-        let out = rt.run(trace, end).expect("fault-free run cannot fail");
-        assert_eq!(
-            out.signatures(),
-            expect,
-            "facts-pruned runtime diverged from the reference at {shards} shards"
-        );
+/// The event classes a property can react to, as the analysis proves them:
+/// the refined mask, or nothing when no run can complete the last stage.
+fn admitted_classes(property: &Property) -> u8 {
+    let facts = property_facts(property);
+    if facts.live_stages.last() == Some(&true) {
+        facts.refined_mask
+    } else {
+        0
     }
 }
 
-/// Reference per-monitor loop vs. a facts-pruned [`MonitorSet`], compared
-/// as rendered violation lists (time order, stable by member).
-fn assert_facts_set_matches(props: &[Property], trace: &[NetEvent], end: Instant) {
-    let mut set = MonitorSet::new();
-    for p in props {
-        let facts = property_facts(p).to_core(p).expect("checked facts");
-        set.add_with_facts(p.clone(), MonitorConfig::default(), &facts)
-            .expect("facts were built for this very property");
-    }
-    let mut solo: Vec<Monitor> = props.iter().cloned().map(Monitor::with_defaults).collect();
+/// Run `property` on the whole trace and on the trace pre-filtered by
+/// [`admitted_classes`]; require identical violations. Returns the number
+/// of violations and of events the filter dropped.
+fn assert_prefilter_matches(
+    property: &Property,
+    trace: &[NetEvent],
+    end: Instant,
+) -> (usize, usize) {
+    let mask = admitted_classes(property);
+    let mut full = Monitor::with_defaults(property.clone());
+    let mut filtered = Monitor::with_defaults(property.clone());
+    let mut dropped = 0;
     for ev in trace {
-        set.process(ev);
-        for m in &mut solo {
-            m.process(ev);
+        full.process(ev);
+        if event_class(ev) & mask != 0 {
+            filtered.process(ev);
+        } else {
+            dropped += 1;
         }
     }
-    set.advance_to(end);
-    for m in &mut solo {
-        m.advance_to(end);
-    }
-    let mut expect: Vec<String> =
-        solo.iter().flat_map(|m| m.violations().iter()).map(|v| format!("{v:?}")).collect();
-    expect.sort();
-    let mut got: Vec<String> = set.violations().iter().map(|v| format!("{v:?}")).collect();
-    got.sort();
-    assert_eq!(got, expect, "refined masks changed the violation set");
+    full.advance_to(end);
+    filtered.advance_to(end);
+    let render = |m: &Monitor| m.violations().iter().map(|v| format!("{v:?}")).collect::<Vec<_>>();
+    assert_eq!(
+        render(&filtered),
+        render(&full),
+        "pre-filtering by the refined mask {mask:#09b} changed the violations of {:?}",
+        property.name
+    );
+    (full.violations().len(), dropped)
+}
+
+/// [`assert_prefilter_matches`] for every property; returns the total
+/// violation count so callers can reject a vacuous trace.
+fn assert_catalog_prefilter_matches(props: &[Property], trace: &[NetEvent], end: Instant) -> usize {
+    props.iter().map(|p| assert_prefilter_matches(p, trace, end).0).sum()
 }
 
 // ---------------------------------------------------------------------------
@@ -116,16 +106,14 @@ fn mixed_catalog_trace() -> Vec<NetEvent> {
     tb.build()
 }
 
-/// The full 21-property catalog over the fixed mixed trace: the
-/// facts-consuming runtime is byte-identical to the reference at every
-/// shard count. This is the tier-1 anchor for the analysis seam.
+/// The full 21-property catalog over the fixed mixed trace: each property
+/// reports the same violations on the pre-filtered trace as on the whole.
 #[test]
 fn catalog_facts_differential_fixed_trace() {
     let props = swmon_props::catalog();
     let trace = mixed_catalog_trace();
     let end = trace.last().unwrap().time + Duration::from_secs(120);
-    assert_facts_runtime_matches(&props, &trace, end);
-    assert_facts_set_matches(&props, &trace, end);
+    assert_catalog_prefilter_matches(&props, &trace, end);
 }
 
 /// Same catalog over the benchmark workload (256 flows with drops and
@@ -142,29 +130,12 @@ fn catalog_facts_differential_benchmark_workload() {
         7,
     );
     let end = trace.last().unwrap().time + Duration::from_secs(60);
-    assert_facts_runtime_matches(&props, &trace, end);
-}
-
-/// Conservative facts are the identity: routing through the facts seam
-/// with [`AnalysisFacts::conservative`] is exactly the plain constructor.
-#[test]
-fn conservative_facts_are_the_identity() {
-    let props = swmon_props::catalog();
-    let facts: Vec<AnalysisFacts> = props.iter().map(AnalysisFacts::conservative).collect();
-    let trace = mixed_catalog_trace();
-    let end = trace.last().unwrap().time + Duration::from_secs(120);
-    let expect: Vec<String> = reference_records(&props, MonitorConfig::default(), &trace, end)
-        .iter()
-        .map(signature)
-        .collect();
-    let rt = ShardedRuntime::new_with_facts(props, &facts, RuntimeConfig::with_shards(4)).unwrap();
-    assert_eq!(rt.run(&trace, end).unwrap().signatures(), expect);
+    assert!(assert_catalog_prefilter_matches(&props, &trace, end) > 0, "trace must violate");
 }
 
 /// A property whose mask the analysis *provably tightens* (a stage-0
-/// clearing pattern contributes classes no live edge carries): the refined
-/// set must still agree with the reference on a trace full of exactly the
-/// dropped classes.
+/// clearing pattern contributes classes no live edge carries): the filter
+/// drops events of exactly those classes, and the violations must not move.
 #[test]
 fn strictly_refined_mask_stays_sound() {
     let p = PropertyBuilder::new("refined", "stage-0 clearing classes are prunable")
@@ -182,15 +153,14 @@ fn strictly_refined_mask_stays_sound() {
         facts.refined_mask != facts.syntactic_mask,
         "fixture regressed: the stage-0 flood clearing must be dropped from the mask"
     );
-    let props = vec![p];
     let trace = mixed_catalog_trace(); // flood departures throughout
     let end = trace.last().unwrap().time + Duration::from_secs(1);
-    assert_facts_runtime_matches(&props, &trace, end);
-    assert_facts_set_matches(&props, &trace, end);
+    let (violations, dropped) = assert_prefilter_matches(&p, &trace, end);
+    assert!(violations > 0 && dropped > 0, "fixture must violate and be pruned");
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 3: soundness proptest over random properties and traces
+// Soundness proptest over random properties and traces
 // ---------------------------------------------------------------------------
 
 /// A compact generated property: 1–3 match stages drawn from a small pool
@@ -330,12 +300,10 @@ fn render_trace(events: &[GenEvent], step: Duration) -> Vec<NetEvent> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Soundness: for random properties and random traces, the
-    /// analysis-refined mask never drops an output-changing event — the
-    /// facts-pruned [`MonitorSet`] agrees with unoptimized per-monitor
-    /// loops byte-for-byte.
+    /// Soundness: for random properties and random traces, pre-filtering
+    /// by the refined mask never drops an output-changing event.
     #[test]
-    fn refined_masks_never_change_monitorset_output(
+    fn refined_masks_never_change_monitor_output(
         gens in proptest::collection::vec(gen_property(), 1..4),
         events in proptest::collection::vec(gen_event(), 1..50),
     ) {
@@ -348,25 +316,6 @@ proptest! {
         let trace = render_trace(&events, Duration::from_micros(40));
         prop_assume!(!trace.is_empty());
         let end = trace.last().unwrap().time + Duration::from_secs(1);
-        assert_facts_set_matches(&props, &trace, end);
-    }
-
-    /// The same soundness contract at the system level: random properties
-    /// through the facts-consuming sharded runtime vs. the reference.
-    #[test]
-    fn refined_masks_never_change_runtime_output(
-        gens in proptest::collection::vec(gen_property(), 1..3),
-        events in proptest::collection::vec(gen_event(), 1..40),
-    ) {
-        let props: Vec<Property> = gens
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| render_property(g, &format!("gen-{i}")))
-            .collect();
-        prop_assume!(!props.is_empty());
-        let trace = render_trace(&events, Duration::from_micros(40));
-        prop_assume!(!trace.is_empty());
-        let end = trace.last().unwrap().time + Duration::from_secs(1);
-        assert_facts_runtime_matches(&props, &trace, end);
+        assert_catalog_prefilter_matches(&props, &trace, end);
     }
 }

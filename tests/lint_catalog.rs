@@ -62,6 +62,16 @@ fn catalog_perf_lints_match_the_annotated_allowlist() {
         .collect();
     let expected_scans: BTreeSet<(&str, usize)> = EXPECTED_FULL_SCAN.into_iter().collect();
     assert_eq!(scans, expected_scans, "SW007 full scans drifted from the annotated set");
+
+    // The engine dispatches on the syntactic mask only, so a property whose
+    // mask the analysis can tighten must be fixed at its source (SW010's
+    // suggestion) rather than allowlisted.
+    let refinable: Vec<&str> = diags
+        .iter()
+        .filter(|d| d.code == Code::RefinedMask)
+        .map(|d| d.locus.property.as_str())
+        .collect();
+    assert!(refinable.is_empty(), "SW010 fires on catalog properties: {refinable:?}");
 }
 
 #[test]
